@@ -205,11 +205,16 @@ impl BaggageSimulation {
     }
 
     /// The service input for one batch recording: measured profiles plus
-    /// the *deployment-surveyed* portal geometry instead of the per-batch
-    /// measured closest approach (which wobbles with each bag's lateral
-    /// jitter and would fragment the service's geometry cache).
+    /// the *deployment-configured* portal geometry — the surveyed
+    /// perpendicular distance and the belt speed — instead of the
+    /// per-batch measured values. The measured closest approach wobbles
+    /// with each bag's lateral jitter, and the speed measured from a
+    /// bag's track differs from the belt speed in its last bits; the
+    /// service keys its geometry cache on exact bits, so either would
+    /// split one portal across several cache entries.
     pub fn portal_input(&self, recording: &SweepRecording) -> Result<StppInput, LocalizationError> {
         let mut input = StppInput::from_recording(recording)?;
+        input.nominal_speed_mps = self.conveyor.belt_speed;
         input.perpendicular_distance_m = Some(self.portal_perpendicular_m());
         Ok(input)
     }
@@ -394,6 +399,18 @@ mod tests {
             assert!(m.geometry_cache_hit, "steady batch {i} must hit the geometry cache");
             assert_eq!(m.bank_cache.builds, 0, "steady batch {i} must build zero banks");
         }
+    }
+
+    #[test]
+    fn peak_traffic_shares_one_portal_geometry() {
+        // Every batch of a period goes through the same portal, so every
+        // request must resolve to one geometry key, whatever the bags'
+        // tracks measured.
+        let sim = BaggageSimulation::default();
+        let service = sim.portal_service();
+        let results = sim.run_period_with_service(&service, TrafficPeriod::MorningPeak, 32, 7);
+        assert_eq!(results.len(), 32);
+        assert_eq!(service.cached_geometries(), 1, "one portal, one geometry");
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!     --report bench-smoke.json [--gate bench_gate.toml] [--degrade 0.5]
 //! ```
 //!
+//! Without `--report` it gates the checked-in `BENCH_pipeline.json`, and
+//! without `--gate` the checked-in `bench_gate.toml`. An unknown flag, a
+//! positional word, a missing value or a bad number exits with code 2.
+//!
 //! `--degrade F` multiplies every measured speedup by `F` (and divides
 //! the overhead ratio by it) before gating — an artificial regression
 //! used to verify the gate actually fails when fed bad numbers.
@@ -23,6 +27,48 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use serde::Deserialize;
+use stpp_bench::cli;
+
+/// The usage line printed with every command-line error.
+const USAGE: &str =
+    "usage: bench_gate [--report <report.json>] [--gate <thresholds.toml>] [--degrade <factor>]";
+
+/// A parsed command line.
+struct Args {
+    report_path: String,
+    gate_path: String,
+    degrade: f64,
+}
+
+/// Parses the arguments after the program name. Each flag is optional
+/// and may be given once; anything else is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let (mut report, mut gate, mut degrade) = (None, None, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--report" => &mut report,
+            "--gate" => &mut gate,
+            "--degrade" => &mut degrade,
+            other => return Err(cli::unexpected(other)),
+        };
+        cli::value_of(slot, &arg, &mut args)?;
+    }
+    let degrade = match degrade {
+        None => 1.0,
+        Some(text) => text
+            .parse::<f64>()
+            .ok()
+            .filter(|f| f.is_finite() && *f > 0.0)
+            .ok_or_else(|| format!("bad --degrade `{text}` (expected a positive number)"))?,
+    };
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    Ok(Args {
+        report_path: report.unwrap_or_else(|| format!("{root}/BENCH_pipeline.json")),
+        gate_path: gate.unwrap_or_else(|| format!("{root}/bench_gate.toml")),
+        degrade,
+    })
+}
 
 /// The slice of a mode report the gate needs.
 #[derive(Debug, Deserialize)]
@@ -118,15 +164,10 @@ fn threshold(thresholds: &HashMap<String, f64>, key: &str) -> Result<f64, String
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned());
-    let report_path = arg_value("--report")
-        .unwrap_or_else(|| format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR")));
-    let gate_path = arg_value("--gate")
-        .unwrap_or_else(|| format!("{}/../../bench_gate.toml", env!("CARGO_MANIFEST_DIR")));
-    let degrade: f64 =
-        arg_value("--degrade").map(|v| v.parse().expect("--degrade takes a number")).unwrap_or(1.0);
+    let Args { report_path, gate_path, degrade } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(error) => return cli::usage_error(&error, USAGE),
+    };
 
     let report_text = match std::fs::read_to_string(&report_path) {
         Ok(text) => text,

@@ -19,6 +19,10 @@
 //! cargo run --release -p stpp-bench --bin bench_json -- --connections 1,8,64
 //! ```
 //!
+//! An unknown flag, a positional word, a missing value or a bad number
+//! exits with code 2 before anything runs, so a misspelt `--smoke` can
+//! never start the full sweep and overwrite the tracked report.
+//!
 //! The `--smoke` mode exists so CI can prove the harness still builds,
 //! runs, and emits valid JSON without paying for the 300-tag populations.
 //! `--scenario FILE` (repeatable) replaces the synthetic population sweep
@@ -31,12 +35,13 @@
 //! and 4 servers (see the `FLEET_*` constants), whose 2-shard speedup
 //! over the single server is floored by `bench_gate`.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use stpp_bench::{baseline, benchmark_recording};
+use stpp_bench::{baseline, benchmark_recording, cli};
 use stpp_core::{
     BatchLocalizer, LocalizationError, RelativeLocalizer, StppConfig, StppInput, StppResult,
 };
@@ -873,33 +878,63 @@ fn sweep_streaming(threads: usize) -> StreamingReport {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scenario_files: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--scenario")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            // Default to the repository root regardless of the cwd.
-            format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR"))
-        });
-    let sweep_counts: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--connections")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.split(',')
-                .map(|n| n.trim().parse().expect("--connections takes e.g. 1,8,64"))
-                .collect()
-        })
-        .unwrap_or_else(|| DEFAULT_CONNECTIONS.to_vec());
+/// The usage line printed with every command-line error.
+const USAGE: &str =
+    "usage: bench_json [--smoke] [--out <report.json>] [--scenario <file.json>]... \
+                     [--connections <n,n,...>]";
+
+/// A parsed command line.
+struct Args {
+    smoke: bool,
+    out_path: String,
+    scenario_files: Vec<String>,
+    sweep_counts: Vec<usize>,
+}
+
+/// Parses the arguments after the program name. `--scenario` may repeat;
+/// every other flag may be given once; anything else is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let (mut smoke, mut out, mut connections) = (false, None, None);
+    let mut scenario_files = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" if smoke => return Err("`--smoke` given more than once".into()),
+            "--smoke" => smoke = true,
+            "--out" => cli::value_of(&mut out, &arg, &mut args)?,
+            "--connections" => cli::value_of(&mut connections, &arg, &mut args)?,
+            "--scenario" => {
+                let mut path = None;
+                cli::value_of(&mut path, &arg, &mut args)?;
+                scenario_files.extend(path);
+            }
+            other => return Err(cli::unexpected(other)),
+        }
+    }
+    let sweep_counts = match connections {
+        None => DEFAULT_CONNECTIONS.to_vec(),
+        Some(list) => list
+            .split(',')
+            .map(|n| n.trim().parse::<usize>().ok().filter(|&n| n > 0))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| format!("bad --connections `{list}` (expected e.g. 1,8,64)"))?,
+    };
+    Ok(Args {
+        smoke,
+        // Default to the repository root regardless of the cwd.
+        out_path: out
+            .unwrap_or_else(|| format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR"))),
+        scenario_files,
+        sweep_counts,
+    })
+}
+
+fn main() -> ExitCode {
+    let Args { smoke, out_path, scenario_files, sweep_counts } =
+        match parse_args(std::env::args().skip(1)) {
+            Ok(args) => args,
+            Err(error) => return cli::usage_error(&error, USAGE),
+        };
 
     // The smoke sweep keeps one tiny population (fast sanity + the small-
     // batch ratios) and one mid-size population large enough for the
@@ -991,6 +1026,7 @@ fn main() {
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(&out_path, json + "\n").expect("write benchmark report");
     eprintln!("wrote {out_path}");
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
+pub mod cli;
 
 use rfid_geometry::TagLayout;
 use rfid_reader::{AntennaSweepParams, ReaderSimulation, ScenarioBuilder, SweepRecording};

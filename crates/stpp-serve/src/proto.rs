@@ -17,6 +17,13 @@
 //! the property the serving layer's "responses are bit-identical to the
 //! in-process service" guarantee rests on.
 //!
+//! Decoding goes through the [`Message`] trait. The two hot request
+//! frames, `Localize` and `IngestReports`, carry one small map per phase
+//! sample or report; [`Request`] reads them straight into typed structs
+//! from the same bytes, in canonical field order, without building the
+//! tree. Every other request variant and every [`Response`] decode
+//! through the derive-based tree.
+//!
 //! Clients send [`Request`] frames and read [`Response`] frames; a
 //! connection is a strict request/response alternation, so responses come
 //! back in request order. Malformed, truncated, or oversized frames
@@ -31,6 +38,8 @@ use stpp_core::{LocalizationError, StppInput};
 
 use crate::service::{LocalizationResponse, ServiceStats};
 use crate::session::{IngestError, ProvisionalOrdering, SessionGeometry};
+
+mod typed;
 
 /// The 4-byte frame magic.
 pub const MAGIC: [u8; 4] = *b"STPP";
@@ -437,6 +446,19 @@ impl<'a> Decoder<'a> {
         Ok(slice)
     }
 
+    /// Bytes not read yet.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Rejects bytes left over after a complete message.
+    fn finish(&self) -> Result<(), ProtoError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(ProtoError::Malformed { reason: format!("{left} trailing payload bytes") }),
+        }
+    }
+
     fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1)?[0])
     }
@@ -461,7 +483,7 @@ impl<'a> Decoder<'a> {
     /// allocation grows.
     fn check_count(&self, count: u32) -> Result<usize, ProtoError> {
         let count = count as usize;
-        if count > self.bytes.len().saturating_sub(self.pos) {
+        if count > self.remaining() {
             return Err(ProtoError::Truncated);
         }
         Ok(count)
@@ -547,23 +569,41 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<usize, ProtoError> {
     Ok(payload_len)
 }
 
-/// Decodes a complete frame payload into a message. Shared by the slice
-/// and stream decoders.
-fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, ProtoError> {
+/// A message that frames decode into: [`Request`] or [`Response`]. The
+/// slice and stream decoders all hand the complete payload to
+/// [`decode_payload`](Self::decode_payload).
+pub trait Message: Sized {
+    /// Decodes one complete frame payload.
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError>;
+}
+
+/// `Localize` and `IngestReports` are read straight into typed structs;
+/// every other variant goes through the derive-based tree.
+impl Message for Request {
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
+        typed::decode_hot(payload).unwrap_or_else(|| decode_tree(payload))
+    }
+}
+
+impl Message for Response {
+    fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
+        decode_tree(payload)
+    }
+}
+
+/// Decodes a payload through the derive path: the whole [`Value`] tree
+/// first, then the message from the tree.
+fn decode_tree<T: Deserialize>(payload: &[u8]) -> Result<T, ProtoError> {
     let mut decoder = Decoder { bytes: payload, pos: 0 };
     let value = decoder.value(0)?;
-    if decoder.pos != payload.len() {
-        return Err(ProtoError::Malformed {
-            reason: format!("{} trailing payload bytes", payload.len() - decoder.pos),
-        });
-    }
+    decoder.finish()?;
     T::from_value(&value).map_err(|e| ProtoError::Malformed { reason: e.to_string() })
 }
 
 /// Decodes one frame from the front of `bytes`, returning the message and
 /// the number of bytes consumed. Trailing bytes (the next frame) are left
 /// untouched.
-pub fn decode_frame<T: Deserialize>(bytes: &[u8]) -> Result<(T, usize), ProtoError> {
+pub fn decode_frame<T: Message>(bytes: &[u8]) -> Result<(T, usize), ProtoError> {
     if bytes.len() < HEADER_LEN {
         return Err(ProtoError::Truncated);
     }
@@ -573,7 +613,7 @@ pub fn decode_frame<T: Deserialize>(bytes: &[u8]) -> Result<(T, usize), ProtoErr
     if bytes.len() < end {
         return Err(ProtoError::Truncated);
     }
-    let message = decode_payload(&bytes[HEADER_LEN..end])?;
+    let message = T::decode_payload(&bytes[HEADER_LEN..end])?;
     Ok((message, end))
 }
 
@@ -688,7 +728,7 @@ pub fn write_frame<W: Write, T: Serialize>(writer: &mut W, message: &T) -> Resul
 /// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer closed the connection); EOF mid-frame is
 /// [`ProtoError::Truncated`].
-pub fn read_frame<R: Read, T: Deserialize>(reader: &mut R) -> Result<Option<T>, ProtoError> {
+pub fn read_frame<R: Read, T: Message>(reader: &mut R) -> Result<Option<T>, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     while filled < HEADER_LEN {
@@ -709,7 +749,7 @@ pub fn read_frame<R: Read, T: Deserialize>(reader: &mut R) -> Result<Option<T>, 
             ProtoError::from(e)
         }
     })?;
-    decode_payload(&payload).map(Some)
+    T::decode_payload(&payload).map(Some)
 }
 
 // ---------------------------------------------------------------------------
@@ -756,7 +796,7 @@ impl FrameDecoder {
     /// Tries to decode the next complete message. `Ok(None)` means more
     /// bytes are needed; errors are typed and deterministic (calling
     /// again without new bytes returns the same error).
-    pub fn next_frame<T: Deserialize>(&mut self) -> Result<Option<T>, ProtoError> {
+    pub fn next_frame<T: Message>(&mut self) -> Result<Option<T>, ProtoError> {
         let payload_len = match self.payload_len {
             Some(len) => len,
             None => {
@@ -774,7 +814,7 @@ impl FrameDecoder {
         if self.buf.len() < end {
             return Ok(None);
         }
-        let message = decode_payload(&self.buf[HEADER_LEN..end])?;
+        let message = T::decode_payload(&self.buf[HEADER_LEN..end])?;
         self.buf.drain(..end);
         self.payload_len = None;
         Ok(Some(message))
