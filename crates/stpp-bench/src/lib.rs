@@ -15,7 +15,8 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod cli;
+
+pub use stpp_scenario::cli;
 
 use rfid_geometry::TagLayout;
 use rfid_reader::{AntennaSweepParams, ReaderSimulation, ScenarioBuilder, SweepRecording};

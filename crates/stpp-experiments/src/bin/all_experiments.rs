@@ -4,9 +4,9 @@
 use std::fs;
 use std::path::Path;
 
-use stpp_experiments::{run_all, TrialConfig};
+use stpp_experiments::{run_all, NoScoredTrials, TrialConfig};
 
-fn main() {
+fn main() -> Result<(), NoScoredTrials> {
     let trials = TrialConfig {
         trials: std::env::var("STPP_TRIALS").ok().and_then(|v| v.parse().ok()).unwrap_or(4),
         seed: std::env::var("STPP_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(20150504),
@@ -19,7 +19,7 @@ fn main() {
         "Generated by `all_experiments` with {} trials per configuration (seed {}).\n\n",
         trials.trials, trials.seed
     ));
-    for report in run_all(&trials) {
+    for report in run_all(&trials)? {
         println!("=== {} — {} ===", report.id, report.title);
         print!("{}", report.to_markdown());
         markdown.push_str(&report.to_markdown());
@@ -29,4 +29,5 @@ fn main() {
     }
     fs::write(out_dir.join("EXPERIMENTS_RESULTS.md"), &markdown).expect("write results markdown");
     println!("Wrote results/EXPERIMENTS_RESULTS.md");
+    Ok(())
 }

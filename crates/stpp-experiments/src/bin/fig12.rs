@@ -1,8 +1,9 @@
 //! Regenerates fig12 of the STPP paper.
 use stpp_experiments::TrialConfig;
 
-fn main() {
+fn main() -> Result<(), stpp_experiments::NoScoredTrials> {
     let trials = TrialConfig::default();
-    let report = stpp_experiments::microbench::fig12_window_size(&trials);
+    let report = stpp_experiments::microbench::fig12_window_size(&trials)?;
     print!("{}", report.to_markdown());
+    Ok(())
 }

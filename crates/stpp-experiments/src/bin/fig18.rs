@@ -1,8 +1,9 @@
 //! Regenerates fig18 of the STPP paper.
 use stpp_experiments::TrialConfig;
 
-fn main() {
+fn main() -> Result<(), stpp_experiments::NoScoredTrials> {
     let trials = TrialConfig::default();
-    let report = stpp_experiments::macrobench::fig18_accuracy_vs_distance(&trials);
+    let report = stpp_experiments::macrobench::fig18_accuracy_vs_distance(&trials)?;
     print!("{}", report.to_markdown());
+    Ok(())
 }

@@ -178,15 +178,72 @@ pub fn score_scheme(recording: &SweepRecording, result: &SchemeResult) -> (f64, 
     (acc_x, acc_y)
 }
 
+/// Mean ordering accuracy over the trials of one configuration that
+/// produced a sweep to score.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeanAccuracy {
+    /// Mean exact-rank accuracy along X over the scored trials.
+    pub x: f64,
+    /// Mean exact-rank accuracy along Y over the scored trials whose
+    /// scheme produced a Y ordering; `None` when none did.
+    pub y: Option<f64>,
+    /// Trials that produced a sweep and were scored.
+    pub scored: usize,
+    /// Trials run.
+    pub trials: usize,
+}
+
+impl MeanAccuracy {
+    /// The X accuracy with `scored/trials` beside it, e.g. `84.0% (4/4)`.
+    pub fn x_cell(&self) -> String {
+        self.cell(Some(self.x))
+    }
+
+    /// The Y accuracy with `scored/trials` beside it; `n/a` when no
+    /// scored trial had a Y ordering.
+    pub fn y_cell(&self) -> String {
+        self.cell(self.y)
+    }
+
+    fn cell(&self, accuracy: Option<f64>) -> String {
+        let accuracy = accuracy.map_or_else(|| "n/a".to_string(), pct);
+        format!("{accuracy} ({}/{})", self.scored, self.trials)
+    }
+}
+
+/// No trial of a configuration produced a sweep to score (every layout
+/// was empty or degenerate), so it has no accuracy to report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoScoredTrials {
+    /// The configuration index passed to [`mean_accuracy`].
+    pub config_idx: usize,
+    /// Trials run.
+    pub trials: usize,
+}
+
+impl std::fmt::Display for NoScoredTrials {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "configuration {}: none of its {} trials produced a sweep to score",
+            self.config_idx, self.trials
+        )
+    }
+}
+
+impl std::error::Error for NoScoredTrials {}
+
 /// Runs one scheme over `trials` independently generated sweeps of the same
-/// layout-generating closure, returning mean `(accuracy_x, accuracy_y)`.
+/// layout-generating closure and averages the accuracy of the trials it
+/// could score. A trial whose layout yields no sweep is skipped and
+/// counted; a configuration with no scored trial is an error.
 pub fn mean_accuracy<S, L>(
     scheme: &S,
     trials: &TrialConfig,
     config_idx: usize,
     antenna_moving: bool,
     mut make_layout: L,
-) -> (f64, f64)
+) -> Result<MeanAccuracy, NoScoredTrials>
 where
     S: OrderingScheme + ?Sized,
     L: FnMut(u64) -> TagLayout,
@@ -194,7 +251,7 @@ where
     let mut sum_x = 0.0;
     let mut sum_y = 0.0;
     let mut count_y = 0usize;
-    let mut count = 0usize;
+    let mut scored = 0usize;
     for t in 0..trials.trials {
         let seed = trials.trial_seed(config_idx, t);
         let layout = make_layout(seed);
@@ -211,12 +268,17 @@ where
             sum_y += ay;
             count_y += 1;
         }
-        count += 1;
+        scored += 1;
     }
-    (
-        if count == 0 { 0.0 } else { sum_x / count as f64 },
-        if count_y == 0 { 0.0 } else { sum_y / count_y as f64 },
-    )
+    if scored == 0 {
+        return Err(NoScoredTrials { config_idx, trials: trials.trials });
+    }
+    Ok(MeanAccuracy {
+        x: sum_x / scored as f64,
+        y: (count_y > 0).then(|| sum_y / count_y as f64),
+        scored,
+        trials: trials.trials,
+    })
 }
 
 /// Formats a fraction as a percentage string with one decimal.
@@ -267,10 +329,36 @@ mod tests {
 
     #[test]
     fn mean_accuracy_runs_a_small_experiment() {
-        let trials = TrialConfig { trials: 1, seed: 5 };
-        let (ax, ay) = mean_accuracy(&GRssi::default(), &trials, 0, true, |_| row_layout(3, 0.15));
-        assert!((0.0..=1.0).contains(&ax));
-        assert!((0.0..=1.0).contains(&ay));
+        let trials = TrialConfig { trials: 2, seed: 5 };
+        let acc = mean_accuracy(&GRssi::default(), &trials, 0, true, |_| row_layout(3, 0.15))
+            .expect("a three-tag row is scored");
+        assert!((0.0..=1.0).contains(&acc.x));
+        assert!(acc.y.is_some_and(|y| (0.0..=1.0).contains(&y)));
+        assert_eq!((acc.scored, acc.trials), (2, 2));
+        assert!(acc.x_cell().ends_with(" (2/2)"), "{}", acc.x_cell());
+    }
+
+    #[test]
+    fn an_empty_layout_is_counted_and_never_scored() {
+        let trials = TrialConfig { trials: 3, seed: 5 };
+        assert!(run_antenna_sweep(&TagLayout::new(), 1).is_none(), "an empty layout has no sweep");
+        let err = mean_accuracy(&GRssi::default(), &trials, 7, true, |_| TagLayout::new())
+            .expect_err("nothing to score");
+        assert_eq!(err, NoScoredTrials { config_idx: 7, trials: 3 });
+
+        // Every other trial empty: only the others count.
+        let mut calls = 0;
+        let acc = mean_accuracy(&GRssi::default(), &trials, 7, true, |_| {
+            calls += 1;
+            if calls % 2 == 0 {
+                TagLayout::new()
+            } else {
+                row_layout(3, 0.15)
+            }
+        })
+        .expect("two trials scored");
+        assert_eq!((acc.scored, acc.trials), (2, 3));
+        assert!(acc.y_cell().ends_with(" (2/3)"));
     }
 
     #[test]

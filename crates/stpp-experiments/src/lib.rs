@@ -27,13 +27,14 @@ pub mod macrobench;
 pub mod microbench;
 pub mod profiles;
 
-pub use common::{ExperimentReport, TrialConfig};
+pub use common::{ExperimentReport, NoScoredTrials, TrialConfig};
 
 /// Runs every experiment in the suite and returns the reports in paper
 /// order. `trials` controls the repetition count of the statistical
-/// experiments.
-pub fn run_all(trials: &TrialConfig) -> Vec<ExperimentReport> {
-    vec![
+/// experiments; a configuration none of whose trials could be scored
+/// stops the suite with an error.
+pub fn run_all(trials: &TrialConfig) -> Result<Vec<ExperimentReport>, NoScoredTrials> {
+    Ok(vec![
         profiles::fig02_rssi_motivation(trials.seed),
         profiles::fig03_reference_profiles_x(),
         profiles::fig04_reference_profiles_y(),
@@ -42,16 +43,16 @@ pub fn run_all(trials: &TrialConfig) -> Vec<ExperimentReport> {
         profiles::fig07_dtw_alignment(trials.seed),
         profiles::fig08_segmentation(trials.seed),
         profiles::fig09_quadratic_fitting(trials.seed),
-        microbench::fig12_window_size(trials),
-        microbench::fig13_spacing_tag_moving(trials),
-        microbench::fig14_spacing_antenna_moving(trials),
-        microbench::table1_population(trials),
+        microbench::fig12_window_size(trials)?,
+        microbench::fig13_spacing_tag_moving(trials)?,
+        microbench::fig14_spacing_antenna_moving(trials)?,
+        microbench::table1_population(trials)?,
         macrobench::fig17_scheme_comparison(trials),
-        macrobench::fig18_accuracy_vs_distance(trials),
-        macrobench::fig19_accuracy_vs_population(trials),
+        macrobench::fig18_accuracy_vs_distance(trials)?,
+        macrobench::fig19_accuracy_vs_population(trials)?,
         casestudies::fig21_book_layout(trials.seed),
         casestudies::table2_misplaced_books(trials),
         casestudies::table3_airport_accuracy(trials),
         casestudies::fig23_ordering_latency(trials),
-    ]
+    ])
 }

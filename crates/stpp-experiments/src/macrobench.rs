@@ -8,7 +8,7 @@ use stpp_baselines::{
 
 use crate::common::{
     mean_accuracy, pct, run_antenna_sweep, score_scheme, staggered_layout, ExperimentReport,
-    TrialConfig,
+    NoScoredTrials, TrialConfig,
 };
 
 /// Adds a sparse grid of LANDMARC reference tags around an existing layout.
@@ -90,7 +90,9 @@ pub fn fig17_scheme_comparison(trials: &TrialConfig) -> ExperimentReport {
 
 /// Figure 18: accuracy of each scheme as the adjacent-tag distance shrinks
 /// from 100 cm to 10 cm (20 tags).
-pub fn fig18_accuracy_vs_distance(trials: &TrialConfig) -> ExperimentReport {
+pub fn fig18_accuracy_vs_distance(
+    trials: &TrialConfig,
+) -> Result<ExperimentReport, NoScoredTrials> {
     let mut report = ExperimentReport::new(
         "Figure 18",
         "Accuracy vs adjacent-tag distance (20 tags)",
@@ -106,21 +108,23 @@ pub fn fig18_accuracy_vs_distance(trials: &TrialConfig) -> ExperimentReport {
                     spacing.max(0.15),
                 )
             };
-            let (ax, _) = mean_accuracy(scheme.as_ref(), trials, 3000 + idx, true, layout);
-            row.push(pct(ax));
+            let acc = mean_accuracy(scheme.as_ref(), trials, 3000 + idx, true, layout)?;
+            row.push(acc.x_cell());
         }
         report.push_row(row);
     }
-    report.with_notes(
+    Ok(report.with_notes(
         "STPP keeps the highest median accuracy and the smallest spread as the spacing shrinks; \
          RSSI-based schemes collapse below 25 cm."
             .to_string(),
-    )
+    ))
 }
 
 /// Figure 19: accuracy of STPP vs OTrack as the population grows (10 cm
 /// spacing).
-pub fn fig19_accuracy_vs_population(trials: &TrialConfig) -> ExperimentReport {
+pub fn fig19_accuracy_vs_population(
+    trials: &TrialConfig,
+) -> Result<ExperimentReport, NoScoredTrials> {
     let mut report = ExperimentReport::new(
         "Figure 19",
         "Accuracy vs tag population (STPP vs OTrack, 10 cm spacing)",
@@ -133,16 +137,16 @@ pub fn fig19_accuracy_vs_population(trials: &TrialConfig) -> ExperimentReport {
         let mut row = vec![scheme.name().to_string()];
         for (idx, &n) in populations.iter().enumerate() {
             let layout = move |seed: u64| staggered_layout(n, 0.10, 10, 0.05, seed);
-            let (ax, _) = mean_accuracy(scheme.as_ref(), trials, 4000 + idx, true, layout);
-            row.push(pct(ax));
+            let acc = mean_accuracy(scheme.as_ref(), trials, 4000 + idx, true, layout)?;
+            row.push(acc.x_cell());
         }
         report.push_row(row);
     }
-    report.with_notes(
+    Ok(report.with_notes(
         "Both schemes degrade with population, but STPP stays well above OTrack with a much \
          smaller spread, as in the paper's Figure 19."
             .to_string(),
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -159,7 +163,7 @@ mod tests {
 
     #[test]
     fn fig19_compares_two_schemes() {
-        let r = fig19_accuracy_vs_population(&TrialConfig { trials: 1, seed: 3 });
+        let r = fig19_accuracy_vs_population(&TrialConfig { trials: 1, seed: 3 }).expect("scored");
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].len(), 5);
     }

@@ -4,7 +4,9 @@
 use stpp_baselines::StppScheme;
 use stpp_core::StppConfig;
 
-use crate::common::{mean_accuracy, pct, staggered_layout, ExperimentReport, TrialConfig};
+use crate::common::{
+    mean_accuracy, staggered_layout, ExperimentReport, NoScoredTrials, TrialConfig,
+};
 
 fn stpp_with_window(window: usize) -> StppScheme {
     StppScheme::with_config(StppConfig { window, ..StppConfig::default() })
@@ -12,7 +14,7 @@ fn stpp_with_window(window: usize) -> StppScheme {
 
 /// Figure 12: segmentation window size `w` vs matching (ordering) accuracy
 /// for both the tag-moving and the antenna-moving cases.
-pub fn fig12_window_size(trials: &TrialConfig) -> ExperimentReport {
+pub fn fig12_window_size(trials: &TrialConfig) -> Result<ExperimentReport, NoScoredTrials> {
     let mut report = ExperimentReport::new(
         "Figure 12",
         "Segmentation window size w vs ordering accuracy",
@@ -22,15 +24,15 @@ pub fn fig12_window_size(trials: &TrialConfig) -> ExperimentReport {
     for (idx, &w) in windows.iter().enumerate() {
         let scheme = stpp_with_window(w);
         let layout = |seed: u64| staggered_layout(12, 0.08, 6, 0.05, seed);
-        let (tag_moving, _) = mean_accuracy(&scheme, trials, idx, false, layout);
-        let (antenna_moving, _) = mean_accuracy(&scheme, trials, idx + 100, true, layout);
-        report.push_row(vec![format!("{w}"), pct(tag_moving), pct(antenna_moving)]);
+        let tag_moving = mean_accuracy(&scheme, trials, idx, false, layout)?;
+        let antenna_moving = mean_accuracy(&scheme, trials, idx + 100, true, layout)?;
+        report.push_row(vec![format!("{w}"), tag_moving.x_cell(), antenna_moving.x_cell()]);
     }
-    report.with_notes(
+    Ok(report.with_notes(
         "The paper finds accuracy stays high up to w = 5 and drops for larger windows; w = 5 is \
          the default trade-off between latency and accuracy."
             .to_string(),
-    )
+    ))
 }
 
 fn spacing_report(
@@ -38,7 +40,7 @@ fn spacing_report(
     title: &str,
     antenna_moving: bool,
     trials: &TrialConfig,
-) -> ExperimentReport {
+) -> Result<ExperimentReport, NoScoredTrials> {
     let mut report = ExperimentReport::new(
         id,
         title,
@@ -50,24 +52,24 @@ fn spacing_report(
         // Two rows of tags so both axes are exercised; row depth equals the
         // tag spacing (as in the paper's pairwise spacing sweep).
         let layout = |seed: u64| staggered_layout(10, spacing, 5, spacing.min(0.06), seed);
-        let (ax, ay) = mean_accuracy(
+        let acc = mean_accuracy(
             &scheme,
             trials,
             idx + if antenna_moving { 200 } else { 300 },
             antenna_moving,
             layout,
-        );
-        report.push_row(vec![format!("{spacing_cm:.0}"), pct(ax), pct(ay)]);
+        )?;
+        report.push_row(vec![format!("{spacing_cm:.0}"), acc.x_cell(), acc.y_cell()]);
     }
-    report.with_notes(
+    Ok(report.with_notes(
         "Accuracy is poor at 2 cm spacing and rises steeply with spacing, reaching ~90 % along X \
          by 8–10 cm — the shape of the paper's Figures 13/14 (Y is consistently below X)."
             .to_string(),
-    )
+    ))
 }
 
 /// Figure 13: tag-to-tag distance vs ordering accuracy, tag-moving case.
-pub fn fig13_spacing_tag_moving(trials: &TrialConfig) -> ExperimentReport {
+pub fn fig13_spacing_tag_moving(trials: &TrialConfig) -> Result<ExperimentReport, NoScoredTrials> {
     spacing_report(
         "Figure 13",
         "Tag spacing vs accuracy (tag moving / conveyor case)",
@@ -77,7 +79,9 @@ pub fn fig13_spacing_tag_moving(trials: &TrialConfig) -> ExperimentReport {
 }
 
 /// Figure 14: tag-to-tag distance vs ordering accuracy, antenna-moving case.
-pub fn fig14_spacing_antenna_moving(trials: &TrialConfig) -> ExperimentReport {
+pub fn fig14_spacing_antenna_moving(
+    trials: &TrialConfig,
+) -> Result<ExperimentReport, NoScoredTrials> {
     spacing_report(
         "Figure 14",
         "Tag spacing vs accuracy (antenna moving / bookshelf case)",
@@ -88,7 +92,7 @@ pub fn fig14_spacing_antenna_moving(trials: &TrialConfig) -> ExperimentReport {
 
 /// Table 1: tag population within the reading zone vs ordering accuracy,
 /// for both cases and both axes.
-pub fn table1_population(trials: &TrialConfig) -> ExperimentReport {
+pub fn table1_population(trials: &TrialConfig) -> Result<ExperimentReport, NoScoredTrials> {
     let mut report = ExperimentReport::new(
         "Table 1",
         "Tag population vs ordering accuracy",
@@ -109,25 +113,25 @@ pub fn table1_population(trials: &TrialConfig) -> ExperimentReport {
                 let spacing = 0.02 + (seed % 9) as f64 * 0.01;
                 staggered_layout(n, spacing, 10, 0.04, seed)
             };
-            let (ax, ay) = mean_accuracy(
+            let acc = mean_accuracy(
                 &scheme,
                 trials,
                 1000 + case_idx * 100 + p_idx,
                 antenna_moving,
                 layout,
-            );
-            row_x.push(pct(ax));
-            row_y.push(pct(ay));
+            )?;
+            row_x.push(acc.x_cell());
+            row_y.push(acc.y_cell());
         }
         report.push_row(row_x);
         report.push_row(row_y);
     }
-    report.with_notes(
+    Ok(report.with_notes(
         "Accuracy degrades gradually as the population grows because the slotted-ALOHA read \
          rate is shared across more tags (under-sampling); the tag-moving case stays above the \
          antenna-moving case, as in the paper's Table 1."
             .to_string(),
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -140,14 +144,14 @@ mod tests {
 
     #[test]
     fn fig12_covers_all_window_sizes() {
-        let r = fig12_window_size(&tiny_trials());
+        let r = fig12_window_size(&tiny_trials()).expect("scored");
         assert_eq!(r.rows.len(), 5);
         assert!(r.rows.iter().all(|row| row.len() == 3));
     }
 
     #[test]
     fn table1_has_two_cases_and_two_axes() {
-        let r = table1_population(&TrialConfig { trials: 1, seed: 7 });
+        let r = table1_population(&TrialConfig { trials: 1, seed: 7 }).expect("scored");
         assert_eq!(r.rows.len(), 4);
         assert_eq!(r.headers.len(), 8);
     }

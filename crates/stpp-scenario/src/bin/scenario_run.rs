@@ -1,23 +1,38 @@
 //! Scenario runner CLI.
 //!
 //! ```text
-//! scenario_run [--mode pipeline|service|wire|all] [--threads N] [--record] <file>...
+//! scenario_run [--mode pipeline|service|wire] [--threads N] [--record] <file>...
 //! ```
 //!
-//! Runs every scenario file and prints each run's report; exits
-//! non-zero if any expectation fails (or any run cannot complete). The
-//! default `all` mode executes clean scenarios through every runner and
+//! Runs every scenario file and prints each run's report. The default
+//! mode executes clean scenarios through every runner and
 //! impairment-carrying scenarios through the wire runner only (the
 //! other runners have no wire to impair).
 //!
 //! `--record` re-pins a scenario's expected orderings from a pipeline
 //! run and rewrites the file in canonical form — the declarative
 //! successor of the golden-fixture `--regenerate` flow.
+//!
+//! Exit status: 0 when every expectation holds; 1 when a run completed
+//! but violated an expectation; 3 when a file failed to load or a run
+//! could not complete (this wins over 1); 2 for a bad command line (an
+//! unknown flag, a flag given twice, a missing or flag-looking value,
+//! `--threads 0`, no files), reported with the usage line before
+//! anything runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use stpp_scenario::{run_scenario, RunMode, RunOptions, ScenarioSpec};
+use stpp_scenario::{cli, run_scenario, RunMode, RunOptions, ScenarioSpec};
+
+const USAGE: &str =
+    "usage: scenario_run [--mode pipeline|service|wire] [--threads N] [--record] <file>...";
+
+/// Exit status of a violated expectation.
+const VIOLATED: u8 = 1;
+/// Exit status of a file that failed to load or a run that could not
+/// complete.
+const FAILED: u8 = 3;
 
 struct Args {
     modes: Option<Vec<RunMode>>,
@@ -26,44 +41,49 @@ struct Args {
     files: Vec<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut modes = None;
-    let mut threads = None;
-    let mut record = false;
-    let mut files = Vec::new();
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--mode" => {
-                let value = argv.next().ok_or("--mode needs a value")?;
-                modes = Some(match value.as_str() {
-                    "pipeline" => vec![RunMode::Pipeline],
-                    "service" => vec![RunMode::Service],
-                    "wire" => vec![RunMode::Wire],
-                    "all" => return Err("pass --mode only to narrow; `all` is the default".into()),
-                    other => return Err(format!("unknown mode `{other}`")),
-                });
+/// Parses the arguments after the program name; `Ok(None)` asks for the
+/// usage text. Each flag may be given once.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let (mut mode, mut threads, mut record, mut files) = (None, None, false, Vec::new());
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--mode" => &mut mode,
+            "--threads" => &mut threads,
+            "--record" if record => return Err("`--record` given more than once".into()),
+            "--record" => {
+                record = true;
+                continue;
             }
-            "--threads" => {
-                let value = argv.next().ok_or("--threads needs a value")?;
-                threads =
-                    Some(value.parse().map_err(|_| format!("bad thread count `{value}`"))?);
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with('-') => return Err(cli::unexpected(flag)),
+            file => {
+                files.push(PathBuf::from(file));
+                continue;
             }
-            "--record" => record = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: scenario_run [--mode pipeline|service|wire] [--threads N] [--record] <file>..."
-                        .into(),
-                )
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
-            file => files.push(PathBuf::from(file)),
-        }
+        };
+        cli::value_of(slot, &arg, &mut args)?;
     }
+    let modes = match mode.as_deref() {
+        None => None,
+        Some("pipeline") => Some(vec![RunMode::Pipeline]),
+        Some("service") => Some(vec![RunMode::Service]),
+        Some("wire") => Some(vec![RunMode::Wire]),
+        Some("all") => return Err("pass --mode only to narrow; `all` is the default".into()),
+        Some(other) => return Err(format!("unknown mode `{other}`")),
+    };
+    let threads = threads
+        .map(|text| {
+            text.parse::<usize>()
+                .ok()
+                .filter(|&threads| threads > 0)
+                .ok_or_else(|| format!("`--threads` needs a positive count, got `{text}`"))
+        })
+        .transpose()?;
     if files.is_empty() {
         return Err("no scenario files given".into());
     }
-    Ok(Args { modes, threads, record, files })
+    Ok(Some(Args { modes, threads, record, files }))
 }
 
 fn record(spec: &ScenarioSpec, path: &PathBuf, threads: Option<usize>) -> Result<(), String> {
@@ -85,21 +105,22 @@ fn record(spec: &ScenarioSpec, path: &PathBuf, threads: Option<usize>) -> Result
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
+        Err(error) => return cli::usage_error(&error, USAGE),
     };
 
-    let mut all_passed = true;
+    let (mut failed, mut violated) = (false, false);
     for file in &args.files {
         let spec = match ScenarioSpec::load(file) {
             Ok(spec) => spec,
             Err(e) => {
                 eprintln!("{}: {e}", file.display());
-                all_passed = false;
+                failed = true;
                 continue;
             }
         };
@@ -107,7 +128,7 @@ fn main() -> ExitCode {
         if args.record {
             if let Err(e) = record(&spec, file, args.threads) {
                 eprintln!("{}: {e}", file.display());
-                all_passed = false;
+                failed = true;
             }
             continue;
         }
@@ -125,21 +146,21 @@ fn main() -> ExitCode {
             match run_scenario(&spec, &RunOptions { mode, threads: args.threads }) {
                 Ok(report) => {
                     print!("{}", report.render());
-                    if !report.passed() {
-                        all_passed = false;
-                    }
+                    violated |= !report.passed();
                 }
                 Err(e) => {
                     eprintln!("{} [{mode}]: run failed: {e}", file.display());
-                    all_passed = false;
+                    failed = true;
                 }
             }
         }
     }
 
-    if all_passed {
-        ExitCode::SUCCESS
+    if failed {
+        ExitCode::from(FAILED)
+    } else if violated {
+        ExitCode::from(VIOLATED)
     } else {
-        ExitCode::FAILURE
+        ExitCode::SUCCESS
     }
 }

@@ -1,9 +1,12 @@
-//! Strict command lines for the bench binaries.
+//! Strict command lines for the workspace's binaries (`scenario_run`,
+//! and `bench_gate` and `bench_json` in `stpp-bench`).
 //!
 //! A misspelt or misplaced argument must fail, not fall back to a
 //! default: `bench_gate bench-smoke.json` would gate the checked-in
-//! report instead, and `bench_json --smok` would run the full sweep and
-//! overwrite it. Every error exits with code 2 and the usage line.
+//! report instead, `bench_json --smok` would run the full sweep and
+//! overwrite it, and a self-check scenario run with a mistyped flag must
+//! not pass for a violated expectation. Every error exits with code 2
+//! and the usage line.
 
 use std::process::ExitCode;
 

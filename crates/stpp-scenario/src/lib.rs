@@ -37,6 +37,7 @@
 
 pub mod build;
 pub mod chaos;
+pub mod cli;
 pub mod error;
 pub mod report;
 pub mod runner;

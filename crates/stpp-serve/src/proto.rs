@@ -7,22 +7,29 @@
 //! 0       4     magic  = b"STPP"
 //! 4       2     version (u16 LE) = 1
 //! 6       4     payload length N (u32 LE), N <= MAX_FRAME_PAYLOAD
-//! 10      N     payload: binary-encoded serde Value of the message
+//! 10      N     payload: the message in the tagged binary encoding
 //! ```
 //!
-//! The payload is the message's `serde` tree ([`serde::Value`]) in a
-//! compact tagged binary encoding (one tag byte per node; `u64`/`i64`
-//! little-endian, `f64` as its IEEE-754 **bit pattern**, strings and
-//! containers length-prefixed). Floats therefore round-trip bit-exactly —
+//! The payload is the message's `serde` data model in a compact tagged
+//! binary encoding (one tag byte per value; `u64`/`i64` little-endian,
+//! `f64` as its IEEE-754 **bit pattern**, strings and containers
+//! length-prefixed, structs as maps keyed by field name, enum variants
+//! externally tagged by name). Floats therefore round-trip bit-exactly —
 //! the property the serving layer's "responses are bit-identical to the
 //! in-process service" guarantee rests on.
 //!
-//! Decoding goes through the [`Message`] trait. The two hot request
-//! frames, `Localize` and `IngestReports`, carry one small map per phase
-//! sample or report; [`Request`] reads them straight into typed structs
-//! from the same bytes, in canonical field order, without building the
-//! tree. Every other request variant and every [`Response`] decode
-//! through the derive-based tree.
+//! Encoding builds nothing in between: every frame is written straight
+//! into its buffer from the message's [`Serialize`] events
+//! ([`encode_frame`], and through it [`write_frame`] and
+//! [`FrameWriter::enqueue`]; [`encode_localize_request_into`] does the
+//! same over a borrowed input).
+//!
+//! Decoding goes through the [`Message`] trait. The hot frames carry one
+//! small map per phase sample, report or tag: the `Localize` and
+//! `IngestReports` requests, and the `Localized`, `Flushed` and
+//! `Provisional` responses. They are read straight into typed structs
+//! from the bytes, in canonical field order. Every other variant decodes
+//! through the derive-based [`Value`] tree.
 //!
 //! Clients send [`Request`] frames and read [`Response`] frames; a
 //! connection is a strict request/response alternation, so responses come
@@ -33,7 +40,7 @@
 
 use std::io::{Read, Write};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 use stpp_core::{LocalizationError, StppInput};
 
 use crate::service::{LocalizationResponse, ServiceStats};
@@ -372,7 +379,7 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Binary Value encoding
+// Tagged binary encoding
 // ---------------------------------------------------------------------------
 
 const TAG_NULL: u8 = 0;
@@ -385,6 +392,69 @@ const TAG_STR: u8 = 6;
 const TAG_SEQ: u8 = 7;
 const TAG_MAP: u8 = 8;
 
+/// Writes [`Serializer`] events as the tagged binary payload, straight
+/// into a frame buffer.
+struct PayloadWriter<'a>(&'a mut Vec<u8>);
+
+impl PayloadWriter<'_> {
+    /// A tag byte and its 8-byte little-endian scalar, in one append.
+    fn scalar(&mut self, tag: u8, bytes: [u8; 8]) {
+        let mut item = [tag; 9];
+        item[1..].copy_from_slice(&bytes);
+        self.0.extend_from_slice(&item);
+    }
+
+    /// A tag byte and its `u32` count, in one append.
+    fn container(&mut self, tag: u8, len: usize) {
+        let mut header = [tag; 5];
+        header[1..].copy_from_slice(&(len as u32).to_le_bytes());
+        self.0.extend_from_slice(&header);
+    }
+}
+
+impl Serializer for PayloadWriter<'_> {
+    fn null(&mut self) {
+        self.0.push(TAG_NULL);
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.0.push(if value { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    fn u64(&mut self, value: u64) {
+        self.scalar(TAG_U64, value.to_le_bytes());
+    }
+
+    fn i64(&mut self, value: i64) {
+        self.scalar(TAG_I64, value.to_le_bytes());
+    }
+
+    fn f64(&mut self, value: f64) {
+        self.scalar(TAG_F64, value.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, value: &str) {
+        self.0.push(TAG_STR);
+        encode_bytes(value.as_bytes(), self.0);
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.container(TAG_SEQ, len);
+    }
+
+    fn map(&mut self, len: usize) {
+        self.container(TAG_MAP, len);
+    }
+
+    fn key(&mut self, key: &str) {
+        encode_bytes(key.as_bytes(), self.0);
+    }
+}
+
+/// The encoder the frames used to go through: the whole [`Value`] tree
+/// first, then its bytes. Kept as the oracle the direct writer is tested
+/// against.
+#[cfg(test)]
 fn encode_value(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Null => out.push(TAG_NULL),
@@ -538,17 +608,27 @@ impl<'a> Decoder<'a> {
 /// ([`ProtoError::FrameTooLarge`] there) or, past `u32::MAX`, wrap the
 /// length prefix and desync the stream.
 pub fn encode_frame<T: Serialize>(message: &T) -> Result<Vec<u8>, ProtoError> {
-    let mut payload = Vec::with_capacity(256);
-    encode_value(&message.to_value(), &mut payload);
-    if payload.len() > MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::FrameTooLarge { len: payload.len() as u64 });
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(256);
+    encode_frame_into(message, &mut frame)?;
     Ok(frame)
+}
+
+/// Encodes a message as one frame into `buf`, replacing its contents: the
+/// header, then the payload streamed straight from the message's
+/// [`Serialize`] events.
+fn encode_frame_into<T: Serialize>(message: &T, buf: &mut Vec<u8>) -> Result<(), ProtoError> {
+    buf.clear();
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    // Payload length; patched once the payload is written.
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    message.serialize(&mut PayloadWriter(buf));
+    let payload_len = buf.len() - HEADER_LEN;
+    if payload_len > MAX_FRAME_PAYLOAD {
+        return Err(ProtoError::FrameTooLarge { len: payload_len as u64 });
+    }
+    buf[6..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    Ok(())
 }
 
 /// Validates a frame header (magic, version, length cap) and returns the
@@ -581,13 +661,15 @@ pub trait Message: Sized {
 /// every other variant goes through the derive-based tree.
 impl Message for Request {
     fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
-        typed::decode_hot(payload).unwrap_or_else(|| decode_tree(payload))
+        typed::decode_hot_request(payload).unwrap_or_else(|| decode_tree(payload))
     }
 }
 
+/// `Localized`, `Flushed` and `Provisional` are read straight into typed
+/// structs; every other variant goes through the derive-based tree.
 impl Message for Response {
     fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
-        decode_tree(payload)
+        typed::decode_hot_response(payload).unwrap_or_else(|| decode_tree(payload))
     }
 }
 
@@ -620,102 +702,36 @@ pub fn decode_frame<T: Message>(bytes: &[u8]) -> Result<(T, usize), ProtoError> 
 /// Encodes a [`Request::Localize`] frame directly from a *borrowed*
 /// input into a reusable buffer, byte-identical to
 /// [`encode_frame`]`(&Request::Localize { input: input.clone(), .. })`
-/// but without cloning the observations or materialising the
-/// intermediate `Value` tree. High-volume clients (the scenario
-/// harness's wire runner, bench loops) call this once per request with
-/// the same scratch buffer, so steady-state encoding allocates nothing.
-///
-/// The byte-equality with the derive-based encoding is pinned by
-/// proptest; if a field is ever added to [`StppInput`] the test fails
-/// before the wire can desync.
+/// but without cloning the observations. High-volume clients (the
+/// scenario harness's wire runner, bench loops) call this once per
+/// request with the same scratch buffer, so steady-state encoding
+/// allocates nothing.
 pub fn encode_localize_request_into(
     input: &StppInput,
     threads: Option<u64>,
     buf: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
-    fn push_key(buf: &mut Vec<u8>, key: &str) {
-        buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        buf.extend_from_slice(key.as_bytes());
-    }
-    fn push_map(buf: &mut Vec<u8>, entries: u32) {
-        buf.push(TAG_MAP);
-        buf.extend_from_slice(&entries.to_le_bytes());
-    }
-    fn push_seq(buf: &mut Vec<u8>, items: u32) {
-        buf.push(TAG_SEQ);
-        buf.extend_from_slice(&items.to_le_bytes());
-    }
-    fn push_u64(buf: &mut Vec<u8>, n: u64) {
-        buf.push(TAG_U64);
-        buf.extend_from_slice(&n.to_le_bytes());
-    }
-    fn push_f64(buf: &mut Vec<u8>, x: f64) {
-        buf.push(TAG_F64);
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
+    encode_frame_into(&LocalizeRef { input, threads }, buf)
+}
 
-    buf.clear();
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    // Payload length; patched once the payload is written.
-    buf.extend_from_slice(&0u32.to_le_bytes());
+/// [`Request::Localize`] over a borrowed input. It emits the events of
+/// the derived encoding of the owned variant, so the bytes are the same;
+/// a proptest pins that.
+struct LocalizeRef<'a> {
+    input: &'a StppInput,
+    threads: Option<u64>,
+}
 
-    // Request::Localize { input, threads } — a struct variant encodes as
-    // a one-entry map from the variant name to its field map, fields in
-    // declaration order (mirrors the serde derive exactly).
-    push_map(buf, 1);
-    push_key(buf, "Localize");
-    push_map(buf, 2);
-    push_key(buf, "input");
-    push_map(buf, 4);
-    push_key(buf, "observations");
-    push_seq(buf, input.observations.len() as u32);
-    for obs in &input.observations {
-        push_map(buf, 3);
-        push_key(buf, "id");
-        push_u64(buf, obs.id);
-        push_key(buf, "epc");
-        push_map(buf, 1);
-        push_key(buf, "words");
-        let words = obs.epc.words();
-        push_seq(buf, words.len() as u32);
-        for word in words {
-            push_u64(buf, word as u64);
-        }
-        push_key(buf, "profile");
-        push_map(buf, 1);
-        push_key(buf, "samples");
-        let samples = obs.profile.samples();
-        push_seq(buf, samples.len() as u32);
-        for sample in samples {
-            push_map(buf, 2);
-            push_key(buf, "time_s");
-            push_f64(buf, sample.time_s);
-            push_key(buf, "phase_rad");
-            push_f64(buf, sample.phase_rad);
-        }
+impl Serialize for LocalizeRef<'_> {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.map(1);
+        out.key("Localize");
+        out.map(2);
+        out.key("input");
+        self.input.serialize(out);
+        out.key("threads");
+        self.threads.serialize(out);
     }
-    push_key(buf, "nominal_speed_mps");
-    push_f64(buf, input.nominal_speed_mps);
-    push_key(buf, "wavelength_m");
-    push_f64(buf, input.wavelength_m);
-    push_key(buf, "perpendicular_distance_m");
-    match input.perpendicular_distance_m {
-        Some(x) => push_f64(buf, x),
-        None => buf.push(TAG_NULL),
-    }
-    push_key(buf, "threads");
-    match threads {
-        Some(t) => push_u64(buf, t),
-        None => buf.push(TAG_NULL),
-    }
-
-    let payload_len = buf.len() - HEADER_LEN;
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(ProtoError::FrameTooLarge { len: payload_len as u64 });
-    }
-    buf[6..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    Ok(())
 }
 
 /// Writes one frame to a stream.
@@ -986,6 +1002,16 @@ mod tests {
             decoded.order_x[0].match_cost.map(f64::to_bits),
             sent.order_x[0].match_cost.map(f64::to_bits)
         );
+    }
+
+    #[test]
+    fn the_direct_writer_matches_the_tree_encoder_on_every_scalar_kind() {
+        // The golden frames cover every message; no message carries a
+        // negative integer, a char or a unit, so they are checked here.
+        let message = (-3i64, (i8::MIN, u8::MAX), ("s", 'c', ()), (true, -0.0f64, None::<u8>));
+        let mut tree = Vec::new();
+        encode_value(&message.to_value(), &mut tree);
+        assert_eq!(encode_frame(&message).expect("encode")[HEADER_LEN..], tree[..]);
     }
 
     #[test]
