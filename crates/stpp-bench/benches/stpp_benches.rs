@@ -14,10 +14,10 @@ use std::hint::black_box;
 
 use stpp_bench::{baseline, benchmark_recording};
 use stpp_core::{
-    dtw_full, dtw_full_banded, dtw_segmented_into, dtw_segmented_with_penalty,
-    ordering::OrderingEngine, ordering::YOrderingStrategy, BatchLocalizer, DetectScratch,
-    DtwScratch, PhaseProfile, ReferenceBankCache, ReferenceProfile, ReferenceProfileParams,
-    RelativeLocalizer, SegmentedProfile, StppConfig, StppInput, TagObservations, VZoneDetector,
+    dtw_full, dtw_segmented_into, dtw_segmented_with_penalty, ordering::OrderingEngine,
+    ordering::YOrderingStrategy, BatchLocalizer, DetectScratch, DtwScratch, PhaseProfile,
+    ReferenceBankCache, ReferenceProfile, ReferenceProfileParams, RelativeLocalizer,
+    SegmentedProfile, StppConfig, StppInput, TagObservations, VZoneDetector,
 };
 
 fn measured_profile() -> PhaseProfile {
@@ -46,13 +46,6 @@ fn bench_dtw(c: &mut Criterion) {
         let m = measured.phases();
         b.iter(|| black_box(dtw_full(&r, &m)))
     });
-    for band in [10usize, 30] {
-        group.bench_with_input(BenchmarkId::new("full_banded", band), &band, |b, &band| {
-            let r = reference.profile.phases();
-            let m = measured.phases();
-            b.iter(|| black_box(dtw_full_banded(&r, &m, Some(band))))
-        });
-    }
     for w in [3usize, 5, 10] {
         group.bench_with_input(BenchmarkId::new("segmented", w), &w, |b, &w| {
             let rs = SegmentedProfile::build(&reference.profile, w);
@@ -64,7 +57,7 @@ fn bench_dtw(c: &mut Criterion) {
         let rs = SegmentedProfile::build(&reference.profile, 5);
         let ms = SegmentedProfile::build(&measured, 5);
         let mut scratch = DtwScratch::new();
-        b.iter(|| black_box(dtw_segmented_into(&rs, &ms, true, 0.5, None, None, &mut scratch)))
+        b.iter(|| black_box(dtw_segmented_into(&rs, &ms, true, 0.5, None, &mut scratch)))
     });
     group.finish();
 }
@@ -112,17 +105,14 @@ fn bench_pipeline(c: &mut Criterion) {
             b.iter(|| black_box(localizer.localize_recording(&recording)))
         });
     }
-    // Frozen seed implementation vs the current fast paths at one size.
+    // Frozen seed implementation vs the production batch path at one size.
     let recording = benchmark_recording(30, 0.06, 21);
     let input = StppInput::from_recording(&recording).expect("valid input");
     group.bench_function("seed_baseline/30", |b| {
         b.iter(|| black_box(baseline::seed_localize(&input)))
     });
-    group.bench_function("batch_banded/30", |b| {
-        let localizer = BatchLocalizer::with_available_parallelism(StppConfig {
-            dtw_band: Some(10),
-            ..StppConfig::default()
-        });
+    group.bench_function("batch/30", |b| {
+        let localizer = BatchLocalizer::with_available_parallelism(StppConfig::default());
         b.iter(|| black_box(localizer.localize(&input)))
     });
     group.finish();

@@ -90,10 +90,9 @@ struct ConnectionSweep {
 struct PopulationReport {
     tags: usize,
     seed_sequential_exact: ModeReport,
-    batch_banded: ModeReport,
-    batch_screened: ModeReport,
-    speedup_batch_banded_vs_seed: f64,
-    speedup_screened_vs_banded: f64,
+    sequential: ModeReport,
+    batch: ModeReport,
+    speedup_batch_vs_seed: f64,
     speedup_serve_warm_vs_cold: f64,
     overhead_net_vs_warm: f64,
     serve_net_connections: Option<Vec<ConnectionSweep>>,
@@ -183,9 +182,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if report.schema != "stpp-bench-pipeline/v7" {
+    if report.schema != "stpp-bench-pipeline/v8" {
         eprintln!(
-            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v7` — regenerate the \
+            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v8` — regenerate the \
              report with this tree's bench_json",
             report.schema
         );
@@ -211,8 +210,7 @@ fn main() -> ExitCode {
         }
     };
     let required = [
-        "min_speedup_batch_banded_vs_seed",
-        "min_speedup_screened_vs_banded",
+        "min_speedup_batch_vs_seed",
         "min_speedup_serve_warm_vs_cold",
         "max_overhead_net_vs_warm",
         "min_speedup_async_vs_blocking_64conn",
@@ -238,75 +236,50 @@ fn main() -> ExitCode {
 
     // Gate on the worst population: the slowest speedup and the largest
     // overhead observed anywhere in the sweep.
-    // The screening win is a batch-scale effect (the lockstep screen's
-    // gains grow with the population while tiny batches are dominated by
-    // per-request fixed costs), so its ratio is gated on the *largest*
-    // population in the report; every other ratio gates on the worst
-    // population as before.
-    let largest = report
-        .populations
-        .iter()
-        .max_by_key(|p| p.tags)
-        .expect("populations checked non-empty above");
-    let worst_screen = largest.speedup_screened_vs_banded * degrade;
     let mut violations: Vec<String> = Vec::new();
     let mut worst_batch = f64::INFINITY;
     let mut worst_warm = f64::INFINITY;
     let mut worst_net = 0.0f64;
     for population in &report.populations {
-        worst_batch = worst_batch.min(population.speedup_batch_banded_vs_seed * degrade);
+        worst_batch = worst_batch.min(population.speedup_batch_vs_seed * degrade);
         worst_warm = worst_warm.min(population.speedup_serve_warm_vs_cold * degrade);
         worst_net = worst_net.max(population.overhead_net_vs_warm / degrade);
-        // Noise-free quality guard: the banded batch path must localize
-        // exactly the tags the seed path localizes.
-        if population.batch_banded.localized != population.seed_sequential_exact.localized {
+        // Noise-free quality guards: the batch engine must localize
+        // exactly the tags the seed path localizes, and exactly the tags
+        // the sequential path localizes (the thread count never changes
+        // a result, so any difference is a correctness bug, not noise).
+        if population.batch.localized != population.seed_sequential_exact.localized {
             violations.push(format!(
-                "{} tags: batch_banded localized {} tags but the seed path localized {} — \
-                 banding is dropping tags",
+                "{} tags: batch localized {} tags but the seed path localized {} — the batch \
+                 path is dropping tags",
                 population.tags,
-                population.batch_banded.localized,
+                population.batch.localized,
                 population.seed_sequential_exact.localized,
             ));
         }
-        // Noise-free exactness guard: lockstep + coarse-to-fine screening
-        // is contractually bit-identical to the banded path, so even a
-        // one-tag difference is a correctness bug, not noise.
-        if population.batch_screened.localized != population.batch_banded.localized {
+        if population.sequential.localized != population.batch.localized {
             violations.push(format!(
-                "{} tags: batch_screened localized {} tags but batch_banded localized {} — \
-                 screening is changing results",
-                population.tags,
-                population.batch_screened.localized,
-                population.batch_banded.localized,
+                "{} tags: sequential localized {} tags but batch localized {} — the thread \
+                 count is changing results",
+                population.tags, population.sequential.localized, population.batch.localized,
             ));
         }
         eprintln!(
-            "bench_gate: {:4} tags | batch-banded {:5.2}x vs seed (seed {:.2} ms, banded {:.2} \
-             ms) | screened {:5.2}x vs banded ({:.2} ms) | warm {:5.2}x vs cold | net {:5.2}x \
-             warm",
+            "bench_gate: {:4} tags | batch {:5.2}x vs seed (seed {:.2} ms, batch {:.2} ms) | \
+             warm {:5.2}x vs cold | net {:5.2}x warm",
             population.tags,
-            population.speedup_batch_banded_vs_seed,
+            population.speedup_batch_vs_seed,
             population.seed_sequential_exact.localize_ms,
-            population.batch_banded.localize_ms,
-            population.speedup_screened_vs_banded,
-            population.batch_screened.localize_ms,
+            population.batch.localize_ms,
             population.speedup_serve_warm_vs_cold,
             population.overhead_net_vs_warm,
         );
     }
 
-    let min_batch = limits["min_speedup_batch_banded_vs_seed"];
+    let min_batch = limits["min_speedup_batch_vs_seed"];
     if worst_batch < min_batch {
         violations.push(format!(
-            "batch-banded speedup vs seed regressed to {worst_batch:.2}x (threshold {min_batch}x)"
-        ));
-    }
-    let min_screen = limits["min_speedup_screened_vs_banded"];
-    if worst_screen < min_screen {
-        violations.push(format!(
-            "screened speedup vs banded regressed to {worst_screen:.2}x at {} tags (threshold \
-             {min_screen}x)",
-            largest.tags
+            "batch speedup vs seed regressed to {worst_batch:.2}x (threshold {min_batch}x)"
         ));
     }
     let min_warm = limits["min_speedup_serve_warm_vs_cold"];
@@ -431,9 +404,8 @@ fn main() -> ExitCode {
         let fleet2 = fleet2.expect("no violations means the fleet sweep was present");
         let ttfr = ttfr.expect("no violations means the streaming sweep was present");
         eprintln!(
-            "bench_gate: PASS (batch {worst_batch:.2}x >= {min_batch}, screen \
-             {worst_screen:.2}x >= {min_screen}, warm {worst_warm:.2}x >= {min_warm}, net \
-             {worst_net:.2}x <= {max_net}, async x64 {async_64:.2}x >= {min_async}, fleet x2 \
+            "bench_gate: PASS (batch {worst_batch:.2}x >= {min_batch}, warm {worst_warm:.2}x >= \
+             {min_warm}, net {worst_net:.2}x <= {max_net}, async x64 {async_64:.2}x >= {min_async}, fleet x2 \
              {fleet2:.2}x >= {min_fleet}, streaming first result {ttfr:.2}x >= {min_ttfr})"
         );
         ExitCode::SUCCESS

@@ -1,9 +1,10 @@
 //! `bench_json` — the tracked pipeline benchmark harness.
 //!
 //! Runs the end-to-end localization pipeline over growing tag populations
-//! in a matrix of modes (sequential vs parallel × exact vs banded DTW,
-//! plus a replica of the seed implementation's per-tag reference-rebuild
-//! path) and writes the results as machine-readable JSON to
+//! in a set of modes (sequential and parallel on the production
+//! configuration, the serving paths, plus a replica of the seed
+//! implementation's per-tag reference-rebuild path) and writes the
+//! results as machine-readable JSON to
 //! `BENCH_pipeline.json` at the repository root. Every perf-focused PR is
 //! judged against this file: run it before and after a change and compare
 //! the per-population timings.
@@ -28,7 +29,7 @@
 //! `--scenario FILE` (repeatable) replaces the synthetic population sweep
 //! with workloads built from declarative scenario files, so a deployment
 //! described once for the scenario harness can be benchmarked through the
-//! identical mode matrix.
+//! identical modes.
 //!
 //! Every run (smoke and full) also carries the **fleet sweep**: one
 //! concurrent multi-geometry workload against sharded fleets of 1, 2,
@@ -50,10 +51,6 @@ use stpp_serve::{
     ServerCore, ServiceConfig, SessionGeometry, ShardIdentity, ShardRouter, StppClient, StppServer,
 };
 
-/// Band width used by the banded modes (segments of slack each warping
-/// path may accumulate). Wide enough that detection quality matches the
-/// exact alignment on the benchmark scenarios.
-const BAND: usize = 10;
 /// Timed repetitions per (population, mode); the minimum is reported.
 const REPS: usize = 5;
 /// Concurrent-connection counts the serve_net sweep measures on the
@@ -115,8 +112,8 @@ const STREAMING_REPS: usize = 5;
 struct ModeReport {
     /// Minimum wall-clock time over the repetitions, milliseconds.
     localize_ms: f64,
-    /// Number of tags the mode localized (quality guard: banding must not
-    /// silently drop tags).
+    /// Number of tags the mode localized (quality guard: a faster path
+    /// must not silently drop tags).
     localized: usize,
 }
 
@@ -149,19 +146,11 @@ struct PopulationReport {
     /// The seed implementation's code path: exact DTW, reference profile
     /// regenerated and re-segmented per tag, fresh scratch per tag.
     seed_sequential_exact: ModeReport,
-    /// Current sequential path (shared reference bank + scratch), exact DTW.
-    sequential_exact: ModeReport,
-    /// Current sequential path with banded DTW.
-    sequential_banded: ModeReport,
-    /// Parallel batch engine, exact DTW.
-    batch_exact: ModeReport,
-    /// Parallel batch engine, banded DTW with the PR 4 sequential
-    /// candidate screen (lockstep / coarse-to-fine switches off).
-    batch_banded: ModeReport,
-    /// Parallel batch engine, banded DTW plus lockstep screening and the
-    /// coarse-to-fine pre-alignment (the production fast path; output is
-    /// bit-identical to `batch_banded` — the exactness suite pins it).
-    batch_screened: ModeReport,
+    /// Current sequential path (shared reference bank + scratch) on the
+    /// production configuration.
+    sequential: ModeReport,
+    /// Parallel batch engine on the production configuration.
+    batch: ModeReport,
     /// Serving cold path: a fresh `LocalizationService` per request, so
     /// every request rebuilds its reference banks (per-run behaviour).
     serve_cold: ModeReport,
@@ -172,11 +161,8 @@ struct PopulationReport {
     /// `StppClient` over localhost TCP (serialization + framing + loopback
     /// on top of `serve_warm`).
     serve_net: ModeReport,
-    /// `seed_sequential_exact.localize_ms / batch_banded.localize_ms`.
-    speedup_batch_banded_vs_seed: f64,
-    /// `batch_banded.localize_ms / batch_screened.localize_ms` — the
-    /// lockstep + coarse-to-fine screening win over the PR 4 path.
-    speedup_screened_vs_banded: f64,
+    /// `seed_sequential_exact.localize_ms / batch.localize_ms`.
+    speedup_batch_vs_seed: f64,
     /// `serve_cold.localize_ms / serve_warm.localize_ms`.
     speedup_serve_warm_vs_cold: f64,
     /// `serve_net.localize_ms / serve_warm.localize_ms` — the wire tax.
@@ -276,8 +262,6 @@ struct BenchReport {
     smoke: bool,
     /// Worker threads used by the batch modes.
     threads: usize,
-    /// Band width used by the banded modes.
-    band: usize,
     populations: Vec<PopulationReport>,
     /// The fleet sweep (always present: the gate floors its 2-shard
     /// speedup in smoke and full runs alike).
@@ -346,33 +330,15 @@ fn bench_input(
     sweep_connections: Option<&[usize]>,
 ) -> Result<PopulationReport, LocalizationError> {
     let tags = input.observations.len();
-
-    // The historical modes pin the PR 4 candidate screen (sequential,
-    // switches off) so their trend lines keep measuring the same
-    // algorithm; `screened` adds the lockstep + coarse-to-fine fast path
-    // on top of the banded batch engine.
-    let legacy =
-        StppConfig { lockstep_screen: false, coarse_prealign: false, ..StppConfig::default() };
-    let exact = legacy;
-    let banded = StppConfig { dtw_band: Some(BAND), ..legacy };
-    let screened = StppConfig {
-        dtw_band: Some(BAND),
-        lockstep_screen: true,
-        coarse_prealign: true,
-        ..StppConfig::default()
-    };
+    let config = StppConfig::default();
 
     let seed_sequential_exact = time_mode(|| baseline::seed_localize(&input))?;
-    let sequential_exact = time_mode(|| RelativeLocalizer::new(exact).localize(&input))?;
-    let sequential_banded = time_mode(|| RelativeLocalizer::new(banded).localize(&input))?;
-    let batch_exact = time_mode(|| BatchLocalizer::new(exact, threads).localize(&input))?;
-    let batch_banded = time_mode(|| BatchLocalizer::new(banded, threads).localize(&input))?;
-    let batch_screened = time_mode(|| BatchLocalizer::new(screened, threads).localize(&input))?;
+    let sequential = time_mode(|| RelativeLocalizer::new(config).localize(&input))?;
+    let batch = time_mode(|| BatchLocalizer::new(config, threads).localize(&input))?;
 
-    // Serving paths, screened config (the production setup): cold
-    // constructs a fresh service per request, warm reuses one long-lived
-    // service.
-    let service_config = ServiceConfig { stpp: screened, threads, ..ServiceConfig::default() };
+    // Serving paths: cold constructs a fresh service per request, warm
+    // reuses one long-lived service.
+    let service_config = ServiceConfig { stpp: config, threads, ..ServiceConfig::default() };
     let serve_cold = time_mode(|| {
         let service = LocalizationService::new(service_config);
         service.localize(input.clone()).map(|r| r.result)
@@ -411,8 +377,7 @@ fn bench_input(
     let serve_net_connections =
         sweep_connections.map(|counts| sweep_serve_net(&input, service_config, counts));
 
-    let speedup = seed_sequential_exact.localize_ms / batch_banded.localize_ms.max(1e-9);
-    let screen_speedup = batch_banded.localize_ms / batch_screened.localize_ms.max(1e-9);
+    let speedup = seed_sequential_exact.localize_ms / batch.localize_ms.max(1e-9);
     let serve_speedup = serve_cold.localize_ms / serve_warm.localize_ms.max(1e-9);
     let net_overhead = serve_net.localize_ms / serve_warm.localize_ms.max(1e-9);
     Ok(PopulationReport {
@@ -420,16 +385,12 @@ fn bench_input(
         tags,
         input_build_ms,
         seed_sequential_exact,
-        sequential_exact,
-        sequential_banded,
-        batch_exact,
-        batch_banded,
-        batch_screened,
+        sequential,
+        batch,
         serve_cold,
         serve_warm,
         serve_net,
-        speedup_batch_banded_vs_seed: speedup,
-        speedup_screened_vs_banded: screen_speedup,
+        speedup_batch_vs_seed: speedup,
         speedup_serve_warm_vs_cold: serve_speedup,
         overhead_net_vs_warm: net_overhead,
         serve_net_connections,
@@ -791,13 +752,8 @@ fn sweep_streaming(threads: usize) -> StreamingReport {
         wavelength_m: built.input.wavelength_m,
         perpendicular_distance_m: built.input.perpendicular_distance_m,
     };
-    let screened = StppConfig {
-        dtw_band: Some(BAND),
-        lockstep_screen: true,
-        coarse_prealign: true,
-        ..StppConfig::default()
-    };
-    let service_config = ServiceConfig { stpp: screened, threads, ..ServiceConfig::default() };
+    let service_config =
+        ServiceConfig { stpp: StppConfig::default(), threads, ..ServiceConfig::default() };
     let service = LocalizationService::new(service_config);
     // Warm-up + reference: one batch request builds the geometry's banks
     // (sessions share them through the session geometry key) and pins
@@ -938,7 +894,7 @@ fn main() -> ExitCode {
 
     // The smoke sweep keeps one tiny population (fast sanity + the small-
     // batch ratios) and one mid-size population large enough for the
-    // screening win — a batch-scale effect — to rise above fixed costs.
+    // batch engine's parallel win to rise above fixed costs.
     let populations: &[usize] = if smoke { &[5, 100] } else { &[5, 15, 30, 100, 300] };
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
@@ -977,18 +933,12 @@ fn main() -> ExitCode {
             }
         };
         eprintln!(
-            "  seed {:8.2} ms | seq exact {:8.2} ms | seq banded {:8.2} ms | batch exact \
-             {:8.2} ms | batch banded {:8.2} ms | speedup {:4.1}x | screened {:8.2} ms \
-             ({:4.2}x banded) | serve cold {:8.2} ms / warm {:8.2} ms ({:3.1}x) | net {:8.2} ms \
-             ({:3.1}x warm)",
+            "  seed {:8.2} ms | sequential {:8.2} ms | batch {:8.2} ms ({:4.1}x seed) | serve \
+             cold {:8.2} ms / warm {:8.2} ms ({:3.1}x) | net {:8.2} ms ({:3.1}x warm)",
             report.seed_sequential_exact.localize_ms,
-            report.sequential_exact.localize_ms,
-            report.sequential_banded.localize_ms,
-            report.batch_exact.localize_ms,
-            report.batch_banded.localize_ms,
-            report.speedup_batch_banded_vs_seed,
-            report.batch_screened.localize_ms,
-            report.speedup_screened_vs_banded,
+            report.sequential.localize_ms,
+            report.batch.localize_ms,
+            report.speedup_batch_vs_seed,
             report.serve_cold.localize_ms,
             report.serve_warm.localize_ms,
             report.speedup_serve_warm_vs_cold,
@@ -1015,10 +965,9 @@ fn main() -> ExitCode {
     let streaming = sweep_streaming(threads);
 
     let report = BenchReport {
-        schema: "stpp-bench-pipeline/v7",
+        schema: "stpp-bench-pipeline/v8",
         smoke,
         threads,
-        band: BAND,
         populations: reports,
         fleet,
         streaming,

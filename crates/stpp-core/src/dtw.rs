@@ -14,38 +14,39 @@
 //!   the `min(s^T_P, s^T_Q)` time weighting from Section 3.1.2, reducing
 //!   the complexity to `O(M·N / w²)`.
 //!
-//! ## The fast path
+//! Every alignment is exact: each one fills the whole DP table.
 //!
-//! Every variant is a thin wrapper around one banded, scratch-backed
-//! kernel. Two orthogonal optimisations sit on top of the textbook
-//! recurrence:
+//! ## One recurrence, three kernels
 //!
-//! * **Sakoe-Chiba banding** (`band = Some(width)`): in full-sequence mode
-//!   cells farther than `width` from the (slope-adjusted) diagonal are
-//!   never computed; in subsequence mode — where the match may start
-//!   anywhere along the measured axis, so there is no single diagonal —
-//!   the band prunes the left triangle of cells that no start column
-//!   could reach within the allowed net up-moves (a path at cell `(i, j)`
-//!   starting from column `s ≥ 0` has accumulated warp `(j − i) − s ≥
-//!   −i + j`). The allowance is `width` plus the minimal warp a longer
-//!   reference forces (`max(0, N − M)` net up-moves), so the band never
-//!   renders a feasible alignment infeasible in subsequence mode.
-//!   `band = None` is the exact algorithm. In full mode a too-narrow band
-//!   can make the alignment infeasible, in which case the functions
-//!   return `None`.
-//! * **[`DtwScratch`] reuse**: all DP state (accumulated costs, move tags,
-//!   per-cell path starts, the traced path, and flattened segment
-//!   features) lives in a caller-owned arena, so repeated alignments —
-//!   e.g. the 8 offset candidates × hundreds of tags in the localization
-//!   hot path — perform no heap allocation after the first call at a
-//!   given problem size.
+//! One row update (`advance_row`) holds the recurrence: each cell adds
+//! its local cost to the cheapest of its diagonal, upper and left
+//! neighbours, preferring them in that order on ties. Two kernels walk
+//! the table row by row through it:
 //!
-//! The scratch entry point [`dtw_segmented_into`] also supports *early
-//! abandoning*: because local costs and gap penalties are non-negative,
-//! the minimum accumulated cost in a row is a lower bound on the final
-//! cost, and an alignment that can no longer beat `abandon_above` is cut
-//! off mid-matrix. The V-zone detector uses this to prune the offset
-//! candidates that clearly lose against the best match so far.
+//! * the **path-recording kernel** behind every alignment function
+//!   stores a move tag per cell, so the warping path can be traced back;
+//! * the **lockstep screen** [`dtw_screen_lockstep`] advances many
+//!   candidate references against one measured representation with two
+//!   rolling rows each and no move tags, abandoning a candidate once it
+//!   cannot finish under its limit.
+//!
+//! Because both kernels call the same row update, a cost the lockstep
+//! screen completes is bit-identical to the path-recording kernel's cost
+//! for the same candidate. [`IncrementalDtwCost`] fills the same table
+//! column by column for streaming callers, with the same cell cost and
+//! neighbour preference.
+//!
+//! All DP state lives in a caller-owned [`DtwScratch`], so repeated
+//! alignments — the 8 offset candidates × hundreds of tags of the
+//! localization hot path — perform no heap allocation after the first
+//! call at a given problem size.
+//!
+//! The scratch entry points also support *early abandoning*: because
+//! local costs and gap penalties are non-negative, the minimum
+//! accumulated cost in a row is a lower bound on the final cost, and an
+//! alignment that can no longer beat `abandon_above` is cut off
+//! mid-matrix. The V-zone detector uses this to discard the offset
+//! candidates that lose against the best match so far.
 
 use serde::{Deserialize, Serialize};
 
@@ -123,13 +124,12 @@ pub fn path_matched_range(
 
 /// Move tags recorded per cell so the traceback replays exactly the
 /// decisions of the forward pass.
-const MOVE_NONE: u8 = 0;
 const MOVE_START: u8 = 1;
 const MOVE_DIAG: u8 = 2;
 const MOVE_UP: u8 = 3;
 const MOVE_LEFT: u8 = 4;
 
-/// Reusable DP arena for the DTW kernel.
+/// Reusable DP arena for the DTW kernels.
 ///
 /// Buffers grow to the largest problem seen and are then reused, so a
 /// warmed-up scratch performs zero heap allocations per alignment. One
@@ -152,20 +152,8 @@ pub struct DtwScratch {
     /// so each lane's row advance streams through contiguous memory while
     /// the measured-side feature arrays stay hot across all lanes.
     lockstep: Vec<f64>,
-    /// Per-lane bookkeeping for the lockstep screen.
-    lanes: Vec<LaneState>,
-}
-
-/// Per-candidate state of a lockstep screen (see [`dtw_screen_lockstep`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct LaneState {
-    /// Reference length (rows) of this lane.
-    n: usize,
-    /// Whether the lane has finished (completed, abandoned, or infeasible).
-    done: bool,
-    /// Minimum of the lane's most recently computed row (a lower bound on
-    /// the lane's final cost; used by the beam race in tighten mode).
-    row_min: f64,
+    /// Indices of the lockstep lanes still running.
+    live: Vec<usize>,
 }
 
 /// Per-segment features of a [`SegmentedProfile`] flattened into
@@ -221,68 +209,90 @@ impl SegmentFeatures {
     pub fn is_empty(&self) -> bool {
         self.lo.is_empty()
     }
-
-    /// Clears and refills this representation with a *decimated* (half
-    /// resolution, "double window") copy of `fine`: adjacent segment
-    /// pairs are merged into one coarse segment whose phase range is the
-    /// **hull** of the pair's ranges and whose effective duration is the
-    /// **minimum** of the pair's durations (an odd trailing segment is
-    /// kept as is).
-    ///
-    /// These two choices make the coarse representation *conservative*
-    /// with respect to the fine one: for any warping path through the
-    /// fine cost matrix, projecting each fine cell `(i, j)` to
-    /// `(i/2, j/2)` yields a valid coarse path, every coarse cell cost
-    /// (hull gap × min-duration) lower-bounds each of its fine children's
-    /// costs, and a zero gap penalty never charges more than the fine
-    /// penalties — so the optimal coarse subsequence cost (with gap
-    /// penalty 0 and a band of `fine_band/2 + 1`, see [`decimated_band`])
-    /// is a **lower bound** on the optimal fine subsequence cost
-    /// (property-tested in the exactness suite). The V-zone detector uses
-    /// the decimated representations to *rank* offset candidates on cold
-    /// scratches — with the gap penalty kept, as a sharper heuristic —
-    /// rather than to prune: with realistic noise the candidates' costs
-    /// cluster within a few percent, so the penalty-free lower bound is
-    /// never tight enough to discard one soundly.
-    pub fn decimate_into(&self, out: &mut SegmentFeatures) {
-        out.lo.clear();
-        out.hi.clear();
-        out.dur.clear();
-        let n = self.len();
-        let mut i = 0;
-        while i < n {
-            if i + 1 < n {
-                out.lo.push(self.lo[i].min(self.lo[i + 1]));
-                out.hi.push(self.hi[i].max(self.hi[i + 1]));
-                out.dur.push(self.dur[i].min(self.dur[i + 1]));
-                i += 2;
-            } else {
-                out.lo.push(self.lo[i]);
-                out.hi.push(self.hi[i]);
-                out.dur.push(self.dur[i]);
-                i += 1;
-            }
-        }
-    }
-
-    /// [`decimate_into`](Self::decimate_into) returning a fresh
-    /// representation.
-    pub fn decimated(&self) -> SegmentFeatures {
-        let mut out = SegmentFeatures::default();
-        self.decimate_into(&mut out);
-        out
-    }
 }
 
-/// The band width to use for a decimated ([`SegmentFeatures::decimate_into`])
-/// subsequence alignment so that every path admitted by the fine band is
-/// still admitted after projection to half resolution: a fine cell
-/// satisfies `j ≥ i − (b + max(0, N − M))`, and its projection satisfies
-/// `⌊j/2⌋ ≥ ⌊i/2⌋ − (b/2 + 1 + max(0, N' − M'))`. Preserving feasibility
-/// is what lets a coarse *infeasible* outcome discard a candidate
-/// outright, and keeps the coarse optimum a lower bound of the fine one.
-pub fn decimated_band(band: Option<usize>) -> Option<usize> {
-    band.map(|b| b / 2 + 1)
+/// The local cost of pairing a reference segment with a measured one:
+/// the gap between their phase ranges weighted by the shorter of the two
+/// durations (Section 3.1.2). The gap is written branch-free — at most
+/// one of the two differences is positive because `lo ≤ hi` on both
+/// sides — so the compiler can vectorise it.
+#[inline(always)]
+fn segment_cost(r_lo: f64, r_hi: f64, r_dur: f64, m_lo: f64, m_hi: f64, m_dur: f64) -> f64 {
+    let gap = (r_lo - m_hi).max(m_lo - r_hi).max(0.0);
+    r_dur.min(m_dur) * gap
+}
+
+/// The local costs of reference segment `i` against every measured
+/// segment, as the per-row cost function the kernels take.
+#[inline(always)]
+fn segment_row_costs<'a>(
+    reference: &SegmentFeatures,
+    i: usize,
+    measured: &'a SegmentFeatures,
+) -> impl Fn(usize) -> f64 + 'a {
+    let (r_lo, r_hi, r_dur) = (reference.lo[i], reference.hi[i], reference.dur[i]);
+    let m = measured.len();
+    let (m_lo, m_hi, m_dur) = (&measured.lo[..m], &measured.hi[..m], &measured.dur[..m]);
+    move |j| segment_cost(r_lo, r_hi, r_dur, m_lo[j], m_hi[j], m_dur[j])
+}
+
+/// Advances the DP table by one row: fills `cur` from the row above,
+/// `prev`, and returns the row minimum.
+///
+/// Cell `j` adds `cost(j)` to the cheapest of its diagonal neighbour
+/// `prev[j − 1]`, its upper neighbour `prev[j] + up_penalty` and its left
+/// neighbour `cur[j − 1] + left_penalty(j)`; ties prefer diagonal, then
+/// up (the seed's order). Column 0 has only its upper neighbour. When
+/// `moves` is given, the chosen neighbour of each cell is recorded there
+/// for the traceback. Every row-major kernel advances through this one
+/// function, so their costs agree bit for bit.
+#[inline(always)]
+fn advance_row<C, L>(
+    prev: &[f64],
+    cur: &mut [f64],
+    moves: Option<&mut [u8]>,
+    up_penalty: f64,
+    cost: C,
+    left_penalty: L,
+) -> f64
+where
+    C: Fn(usize) -> f64,
+    L: Fn(usize) -> f64,
+{
+    let m = cur.len();
+    let prev = &prev[..m];
+    let mut moves = moves.map(|mv| &mut mv[..m]);
+    let mut left = cost(0) + (prev[0] + up_penalty);
+    cur[0] = left;
+    if let Some(mv) = moves.as_deref_mut() {
+        mv[0] = MOVE_UP;
+    }
+    let mut row_min = left;
+    for j in 1..m {
+        let diag = prev[j - 1];
+        let up = prev[j] + up_penalty;
+        let left_cost = left + left_penalty(j);
+        let mut best = diag;
+        let mut tag = MOVE_DIAG;
+        if up < best {
+            best = up;
+            tag = MOVE_UP;
+        }
+        if left_cost < best {
+            best = left_cost;
+            tag = MOVE_LEFT;
+        }
+        let v = cost(j) + best;
+        cur[j] = v;
+        if let Some(mv) = moves.as_deref_mut() {
+            mv[j] = tag;
+        }
+        left = v;
+        if v < row_min {
+            row_min = v;
+        }
+    }
+    row_min
 }
 
 impl DtwScratch {
@@ -302,215 +312,79 @@ impl DtwScratch {
     fn to_result(&self, cost: f64) -> DtwResult {
         DtwResult { cost, path: self.path.clone() }
     }
-
-    fn ensure_matrix(&mut self, cells: usize) {
-        if self.acc.len() < cells {
-            self.acc.resize(cells, f64::INFINITY);
-            self.moves.resize(cells, MOVE_NONE);
-        }
-    }
 }
 
-/// The banded DTW kernel. Fills `scratch` and returns the optimal cost, or
-/// `None` when either sequence is empty, no in-band path exists, or the
-/// row-minimum lower bound exceeded `abandon_above`.
-///
-/// See the module docs for the band semantics in full vs subsequence mode.
+/// The path-recording kernel. `row_costs(i)` gives the local cost
+/// function of reference row `i`; `up_penalty(i)` and `left_penalty(j)`
+/// charge the warping steps that stay on one measured or one reference
+/// index. Fills `scratch` (cost matrix, move tags and the traced path)
+/// and returns the optimal cost, or `None` when either sequence is empty
+/// or the row-minimum lower bound exceeded `abandon_above`.
 #[allow(clippy::too_many_arguments)] // one internal kernel, many thin wrappers
-fn dtw_kernel<CR, RC, PU, PL>(
+fn dtw_kernel<R, C, U, L>(
     n: usize,
     m: usize,
-    cost_row: CR,
-    penalty_up: PU,
-    penalty_left: PL,
+    row_costs: R,
+    up_penalty: U,
+    left_penalty: L,
     subsequence: bool,
-    band: Option<usize>,
     abandon_above: Option<f64>,
     scratch: &mut DtwScratch,
 ) -> Option<f64>
 where
-    CR: Fn(usize) -> RC,
-    RC: Fn(usize) -> f64,
-    PU: Fn(usize) -> f64,
-    PL: Fn(usize) -> f64,
+    R: Fn(usize) -> C,
+    C: Fn(usize) -> f64,
+    U: Fn(usize) -> f64,
+    L: Fn(usize) -> f64,
 {
     scratch.path.clear();
     if n == 0 || m == 0 {
         return None;
     }
-    scratch.ensure_matrix(n * m);
-    let acc = &mut scratch.acc;
-    let moves = &mut scratch.moves;
-    let idx = |i: usize, j: usize| i * m + j;
-
-    // Column range of the last row, for the endpoint scan.
-    let mut last_lo = 0usize;
-
+    let DtwScratch { acc, moves, path, .. } = scratch;
+    if acc.len() < n * m {
+        acc.resize(n * m, f64::INFINITY);
+        moves.resize(n * m, MOVE_START);
+    }
+    let cost0 = row_costs(0);
     if subsequence {
-        // ---- subsequence mode: the localization hot path. ----
-        // Any start column is allowed, so the band cannot pin a diagonal;
-        // it prunes the left triangle of columns that no start could reach
-        // within `band` net up-moves. All reachable cells are finite, so
-        // the inner loop needs no reachability guards — a single INFINITY
-        // sentinel just left of a banded row keeps the unguarded
-        // `diag`/`left` reads correct on the boundary (the matrix is
-        // reused dirty otherwise).
-        let cost0 = cost_row(0);
-        for j in 0..m {
-            acc[j] = cost0(j);
-            moves[j] = MOVE_START;
+        // The match may start at any measured column for free.
+        for (j, slot) in acc[..m].iter_mut().enumerate() {
+            *slot = cost0(j);
         }
-        for i in 1..n {
-            let lo = match band {
-                // Budget the minimal warp a longer reference forces
-                // (`n - m` net up-moves) on top of the configured band, so
-                // the band never renders a feasible alignment infeasible.
-                Some(b) => i.saturating_sub(b + n.saturating_sub(m)),
-                None => 0,
-            };
-            if lo >= m {
-                return None;
-            }
-            let row = i * m;
-            let prev_row = row - m;
-            if lo > 0 {
-                acc[row + lo - 1] = f64::INFINITY;
-            }
-            let pu = penalty_up(i);
-            let cost_j = cost_row(i);
-            let first = {
-                let diag = if lo > 0 { acc[prev_row + lo - 1] } else { f64::INFINITY };
-                let up = acc[prev_row + lo] + pu;
-                let (best, mv) = if diag <= up { (diag, MOVE_DIAG) } else { (up, MOVE_UP) };
-                acc[row + lo] = cost_j(lo) + best;
-                moves[row + lo] = mv;
-                acc[row + lo]
-            };
-            let mut row_min = first;
-            for j in lo + 1..m {
-                let diag = acc[prev_row + j - 1];
-                let up = acc[prev_row + j] + pu;
-                let left = acc[row + j - 1] + penalty_left(j);
-                let mut best = diag;
-                let mut mv = MOVE_DIAG;
-                if up < best {
-                    best = up;
-                    mv = MOVE_UP;
-                }
-                if left < best {
-                    best = left;
-                    mv = MOVE_LEFT;
-                }
-                let v = cost_j(j) + best;
-                acc[row + j] = v;
-                moves[row + j] = mv;
-                if v < row_min {
-                    row_min = v;
-                }
-            }
-            if let Some(limit) = abandon_above {
-                // Costs and penalties are non-negative, so the best cell
-                // of this row lower-bounds every completion through it.
-                if row_min > limit {
-                    return None;
-                }
-            }
-            last_lo = lo;
-        }
+        moves[..m].fill(MOVE_START);
     } else {
-        // ---- full mode: Sakoe-Chiba band around the slope-adjusted
-        // diagonal; cells outside a row's range are never computed, so
-        // predecessors must be range-checked (the matrix is reused dirty).
-        let row_range = |i: usize| -> (usize, usize) {
-            match band {
-                None => (0, m - 1),
-                Some(b) => {
-                    let center = if n > 1 { i * (m - 1) / (n - 1) } else { 0 };
-                    (center.saturating_sub(b), (center + b).min(m - 1))
-                }
-            }
-        };
-        let (mut prev_lo, mut prev_hi) = row_range(0);
-        let cost0 = cost_row(0);
-        for j in prev_lo..=prev_hi {
-            let c = cost0(j);
-            if j == 0 {
-                acc[0] = c;
-                moves[0] = MOVE_START;
-            } else {
-                acc[j] = c + acc[j - 1] + penalty_left(j);
-                moves[j] = MOVE_LEFT;
-            }
+        acc[0] = cost0(0);
+        moves[0] = MOVE_START;
+        for j in 1..m {
+            acc[j] = cost0(j) + acc[j - 1] + left_penalty(j);
+            moves[j] = MOVE_LEFT;
         }
-        for i in 1..n {
-            let (lo, hi) = row_range(i);
-            if lo > hi {
-                return None;
-            }
-            let mut row_min = f64::INFINITY;
-            let cost_j = cost_row(i);
-            for j in lo..=hi {
-                let mut best = f64::INFINITY;
-                let mut mv = MOVE_NONE;
-                if j > prev_lo && j - 1 <= prev_hi {
-                    let v = acc[idx(i - 1, j - 1)];
-                    if v.is_finite() {
-                        best = v;
-                        mv = MOVE_DIAG;
-                    }
-                }
-                if j >= prev_lo && j <= prev_hi {
-                    let v = acc[idx(i - 1, j)];
-                    if v.is_finite() {
-                        let v = v + penalty_up(i);
-                        if v < best {
-                            best = v;
-                            mv = MOVE_UP;
-                        }
-                    }
-                }
-                if j > lo {
-                    let v = acc[idx(i, j - 1)];
-                    if v.is_finite() {
-                        let v = v + penalty_left(j);
-                        if v < best {
-                            best = v;
-                            mv = MOVE_LEFT;
-                        }
-                    }
-                }
-                let cell = idx(i, j);
-                if mv == MOVE_NONE {
-                    acc[cell] = f64::INFINITY;
-                    moves[cell] = MOVE_NONE;
-                } else {
-                    acc[cell] = cost_j(j) + best;
-                    moves[cell] = mv;
-                    row_min = row_min.min(acc[cell]);
-                }
-            }
-            if let Some(limit) = abandon_above {
-                if row_min > limit {
-                    return None;
-                }
-            }
-            (prev_lo, prev_hi) = (lo, hi);
-        }
-        last_lo = prev_lo;
-        if m - 1 > prev_hi {
+    }
+    for i in 1..n {
+        let (done, rest) = acc.split_at_mut(i * m);
+        let row_min = advance_row(
+            &done[(i - 1) * m..],
+            &mut rest[..m],
+            Some(&mut moves[i * m..(i + 1) * m]),
+            up_penalty(i),
+            row_costs(i),
+            &left_penalty,
+        );
+        // Costs and penalties are non-negative, so the best cell of this
+        // row lower-bounds every completion through it.
+        if abandon_above.is_some_and(|limit| row_min > limit) {
             return None;
         }
     }
-
-    finish_alignment(acc, moves, &mut scratch.path, n, m, subsequence, last_lo, abandon_above)
+    finish_alignment(acc, moves, path, n, m, subsequence, abandon_above)
 }
 
-/// Shared tail of the DP kernels: picks the endpoint (anywhere on the last
-/// reference row for subsequence alignment — the *first* minimum on ties,
-/// matching the seed's `Iterator::min_by` — the corner otherwise), applies
-/// the final abandon check, and replays the recorded moves back to the
-/// path start.
-#[allow(clippy::too_many_arguments)] // internal tail shared by two kernels
+/// Tail of the path-recording kernel: picks the endpoint (anywhere on the
+/// last reference row for subsequence alignment — the *first* minimum on
+/// ties, matching the seed's `Iterator::min_by` — the corner otherwise),
+/// applies the final abandon check, and replays the recorded moves back
+/// to the path start.
 fn finish_alignment(
     acc: &[f64],
     moves: &[u8],
@@ -518,14 +392,13 @@ fn finish_alignment(
     n: usize,
     m: usize,
     subsequence: bool,
-    last_lo: usize,
     abandon_above: Option<f64>,
 ) -> Option<f64> {
-    let idx = |i: usize, j: usize| i * m + j;
+    let last = &acc[(n - 1) * m..n * m];
     let end_j = if subsequence {
-        let mut best_j = last_lo;
-        for j in last_lo + 1..m {
-            if acc[idx(n - 1, j)] < acc[idx(n - 1, best_j)] {
+        let mut best_j = 0;
+        for j in 1..m {
+            if last[j] < last[best_j] {
                 best_j = j;
             }
         }
@@ -533,21 +406,16 @@ fn finish_alignment(
     } else {
         m - 1
     };
-    let total_cost = acc[idx(n - 1, end_j)];
-    if !total_cost.is_finite() {
+    let total_cost = last[end_j];
+    if !total_cost.is_finite() || abandon_above.is_some_and(|limit| total_cost > limit) {
         return None;
-    }
-    if let Some(limit) = abandon_above {
-        if total_cost > limit {
-            return None;
-        }
     }
 
     let mut i = n - 1;
     let mut j = end_j;
     loop {
         path.push((i, j));
-        match moves[idx(i, j)] {
+        match moves[i * m + j] {
             MOVE_DIAG => {
                 i -= 1;
                 j -= 1;
@@ -567,7 +435,6 @@ fn dtw_values_into(
     reference: &[f64],
     measured: &[f64],
     subsequence: bool,
-    band: Option<usize>,
     scratch: &mut DtwScratch,
 ) -> Option<f64> {
     dtw_kernel(
@@ -580,7 +447,6 @@ fn dtw_values_into(
         |_| 0.0,
         |_| 0.0,
         subsequence,
-        band,
         None,
         scratch,
     )
@@ -589,20 +455,8 @@ fn dtw_values_into(
 /// Classic full-sequence DTW over raw values with absolute-difference local
 /// cost. Returns `None` if either sequence is empty.
 pub fn dtw_full(reference: &[f64], measured: &[f64]) -> Option<DtwResult> {
-    dtw_full_banded(reference, measured, None)
-}
-
-/// [`dtw_full`] constrained to a Sakoe-Chiba band of `band` cells around
-/// the slope-adjusted diagonal (`None` = exact). Returns `None` when the
-/// band admits no path; a band of at least `max(reference, measured)`
-/// length is always equivalent to the exact algorithm.
-pub fn dtw_full_banded(
-    reference: &[f64],
-    measured: &[f64],
-    band: Option<usize>,
-) -> Option<DtwResult> {
     let mut scratch = DtwScratch::new();
-    let cost = dtw_values_into(reference, measured, false, band, &mut scratch)?;
+    let cost = dtw_values_into(reference, measured, false, &mut scratch)?;
     Some(scratch.to_result(cost))
 }
 
@@ -610,18 +464,8 @@ pub fn dtw_full_banded(
 /// contiguous (warped) part of `measured`. Returns `None` if either
 /// sequence is empty.
 pub fn dtw_subsequence(reference: &[f64], measured: &[f64]) -> Option<DtwResult> {
-    dtw_subsequence_banded(reference, measured, None)
-}
-
-/// [`dtw_subsequence`] with the subsequence band semantics described in
-/// the module docs (`None` = exact).
-pub fn dtw_subsequence_banded(
-    reference: &[f64],
-    measured: &[f64],
-    band: Option<usize>,
-) -> Option<DtwResult> {
     let mut scratch = DtwScratch::new();
-    let cost = dtw_values_into(reference, measured, true, band, &mut scratch)?;
+    let cost = dtw_values_into(reference, measured, true, &mut scratch)?;
     Some(scratch.to_result(cost))
 }
 
@@ -651,33 +495,21 @@ pub fn dtw_segmented_with_penalty(
     subsequence: bool,
     gap_penalty_per_second: f64,
 ) -> Option<DtwResult> {
-    dtw_segmented_banded(reference, measured, subsequence, gap_penalty_per_second, None)
-}
-
-/// [`dtw_segmented_with_penalty`] constrained to a band (`None` = exact).
-pub fn dtw_segmented_banded(
-    reference: &SegmentedProfile,
-    measured: &SegmentedProfile,
-    subsequence: bool,
-    gap_penalty_per_second: f64,
-    band: Option<usize>,
-) -> Option<DtwResult> {
     let mut scratch = DtwScratch::new();
     let cost = dtw_segmented_into(
         reference,
         measured,
         subsequence,
         gap_penalty_per_second,
-        band,
         None,
         &mut scratch,
     )?;
     Some(scratch.to_result(cost))
 }
 
-/// The zero-alloc segmented DTW entry point used by the localization hot
-/// path: writes all DP state and the warping path into `scratch` (read it
-/// back via [`DtwScratch::path`]) and returns only the cost.
+/// The zero-alloc segmented DTW entry point: writes all DP state and the
+/// warping path into `scratch` (read it back via [`DtwScratch::path`])
+/// and returns only the cost.
 ///
 /// `abandon_above` enables early abandoning: when every path prefix
 /// already costs more than the given bound, the alignment is cut off and
@@ -688,14 +520,9 @@ pub fn dtw_segmented_into(
     measured: &SegmentedProfile,
     subsequence: bool,
     gap_penalty_per_second: f64,
-    band: Option<usize>,
     abandon_above: Option<f64>,
     scratch: &mut DtwScratch,
 ) -> Option<f64> {
-    // Flatten the segment features so the O(M·N) inner loop touches
-    // contiguous f64s instead of chasing `Segment` fields through two
-    // structs per cell. Callers that precompute features (the V-zone
-    // detector's bank) use `dtw_segmented_features_into` directly.
     scratch.ref_feat.refill(reference);
     scratch.mea_feat.refill(measured);
     let DtwScratch { ref_feat, mea_feat, .. } = scratch;
@@ -705,7 +532,6 @@ pub fn dtw_segmented_into(
         &mf,
         subsequence,
         gap_penalty_per_second,
-        band,
         abandon_above,
         scratch,
     );
@@ -719,175 +545,33 @@ pub fn dtw_segmented_into(
 /// reference features come straight from the detector's reference bank
 /// and the measured features are built once per tag, so the 8 offset
 /// alignments of one tag share both.
-#[allow(clippy::too_many_arguments)] // hot-path entry mirroring the kernel
 pub fn dtw_segmented_features_into(
     reference: &SegmentFeatures,
     measured: &SegmentFeatures,
     subsequence: bool,
     gap_penalty_per_second: f64,
-    band: Option<usize>,
     abandon_above: Option<f64>,
     scratch: &mut DtwScratch,
 ) -> Option<f64> {
     let penalty = gap_penalty_per_second.max(0.0);
-    if subsequence {
-        return dtw_segmented_subsequence_kernel(
-            reference,
-            measured,
-            penalty,
-            band,
-            abandon_above,
-            scratch,
-        );
-    }
-    let (m_lo, m_hi, m_dur) = (&measured.lo[..], &measured.hi[..], &measured.dur[..]);
+    let m_dur = &measured.dur[..measured.len()];
     dtw_kernel(
         reference.len(),
         measured.len(),
-        |i| {
-            let (r_lo, r_hi, r_dur) = (reference.lo[i], reference.hi[i], reference.dur[i]);
-            move |j: usize| {
-                let gap = if r_lo > m_hi[j] {
-                    r_lo - m_hi[j]
-                } else if m_lo[j] > r_hi {
-                    m_lo[j] - r_hi
-                } else {
-                    0.0
-                };
-                r_dur.min(m_dur[j]) * gap
-            }
-        },
+        |i| segment_row_costs(reference, i, measured),
         |i| penalty * reference.dur[i],
         |j| penalty * m_dur[j],
         subsequence,
-        band,
         abandon_above,
         scratch,
     )
 }
 
-/// Cost-only segmented subsequence DTW: identical arithmetic (and hence
-/// bit-identical cost) to [`dtw_segmented_features_into`] with
-/// `subsequence = true`, but keeps only two rolling matrix rows and
-/// records no moves, so no warping path can be traced afterwards.
+/// Append-only, column-major evaluation of the segmented subsequence DTW
+/// cost — the streaming counterpart of [`dtw_segmented_features_into`].
 ///
-/// The V-zone detector screens every offset candidate with this variant
-/// and re-runs the full path-recording alignment only for candidates that
-/// actually improve on the best match so far — with a good first guess
-/// that is one single full alignment per tag.
-pub fn dtw_segmented_cost_only(
-    reference: &SegmentFeatures,
-    measured: &SegmentFeatures,
-    gap_penalty_per_second: f64,
-    band: Option<usize>,
-    abandon_above: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<f64> {
-    let penalty = gap_penalty_per_second.max(0.0);
-    let n = reference.len();
-    let m = measured.len();
-    if n == 0 || m == 0 {
-        return None;
-    }
-    scratch.ensure_matrix(2 * m);
-    let (a, b) = scratch.acc.split_at_mut(m);
-    let mut prev: &mut [f64] = a;
-    let mut cur: &mut [f64] = &mut b[..m];
-    let (m_lo, m_hi, m_dur) = (&measured.lo[..m], &measured.hi[..m], &measured.dur[..m]);
-    let cell_cost = |r_lo: f64, r_hi: f64, r_dur: f64, j: usize| -> f64 {
-        let gap = if r_lo > m_hi[j] {
-            r_lo - m_hi[j]
-        } else if m_lo[j] > r_hi {
-            m_lo[j] - r_hi
-        } else {
-            0.0
-        };
-        r_dur.min(m_dur[j]) * gap
-    };
-
-    {
-        let (r_lo, r_hi, r_dur) = (reference.lo[0], reference.hi[0], reference.dur[0]);
-        for (j, slot) in prev.iter_mut().enumerate() {
-            *slot = cell_cost(r_lo, r_hi, r_dur, j);
-        }
-    }
-
-    let mut last_lo = 0usize;
-    for i in 1..n {
-        let lo = match band {
-            // See `dtw_kernel`: budget the minimal warp forced by a longer
-            // reference on top of the configured band.
-            Some(b) => i.saturating_sub(b + n.saturating_sub(m)),
-            None => 0,
-        };
-        if lo >= m {
-            return None;
-        }
-        let (r_lo, r_hi, r_dur) = (reference.lo[i], reference.hi[i], reference.dur[i]);
-        let pu = penalty * r_dur;
-        if lo > 0 {
-            cur[lo - 1] = f64::INFINITY;
-        }
-        let mut left = {
-            let diag = if lo > 0 { prev[lo - 1] } else { f64::INFINITY };
-            let up = prev[lo] + pu;
-            let best = if diag <= up { diag } else { up };
-            let v = cell_cost(r_lo, r_hi, r_dur, lo) + best;
-            cur[lo] = v;
-            v
-        };
-        let mut row_min = left;
-        for j in lo + 1..m {
-            let diag = prev[j - 1];
-            let up = prev[j] + pu;
-            let left_cost = left + penalty * m_dur[j];
-            let mut best = diag;
-            if up < best {
-                best = up;
-            }
-            if left_cost < best {
-                best = left_cost;
-            }
-            let v = cell_cost(r_lo, r_hi, r_dur, j) + best;
-            cur[j] = v;
-            left = v;
-            if v < row_min {
-                row_min = v;
-            }
-        }
-        if let Some(limit) = abandon_above {
-            if row_min > limit {
-                return None;
-            }
-        }
-        last_lo = lo;
-        std::mem::swap(&mut prev, &mut cur);
-    }
-
-    // `prev` now holds the last computed row.
-    let mut total = f64::INFINITY;
-    for &v in &prev[last_lo..] {
-        if v < total {
-            total = v;
-        }
-    }
-    if !total.is_finite() {
-        return None;
-    }
-    if let Some(limit) = abandon_above {
-        if total > limit {
-            return None;
-        }
-    }
-    Some(total)
-}
-
-/// Append-only, column-major evaluation of the cost-only segmented
-/// subsequence DTW — the streaming counterpart of
-/// [`dtw_segmented_cost_only`].
-///
-/// The batch kernel walks the DP table row by row (one row per
-/// *reference* segment) and needs the complete measured representation up
+/// The batch kernels walk the DP table row by row (one row per
+/// *reference* segment) and need the complete measured representation up
 /// front. Every cell, though, is a pure function of its three
 /// predecessors, so the same table can be filled **column by column**
 /// (one column per *measured* segment) while the measured profile is
@@ -899,20 +583,13 @@ pub fn dtw_segmented_cost_only(
 /// subsequence cost over the measured prefix seen so far.
 ///
 /// Cell values, the three-way minimum, and the running best are computed
-/// with exactly the arithmetic (operand order included) of
-/// [`dtw_segmented_cost_only`], so after `j` appends [`best`](Self::best)
-/// is **bit-identical** to a batch cost-only alignment against the first
-/// `j` measured segments — property-tested in this module. Two batch
-/// features intentionally have no incremental counterpart:
-///
-/// * **Banding** (`band = Some(_)`): the subsequence band prunes cells by
-///   their distance from a diagonal whose slope depends on the *final*
-///   measured length, which is unknown mid-stream. The incremental kernel
-///   is therefore always exact (`band = None` semantics) — which is also
-///   the V-zone detector's default.
-/// * **Early abandoning**: there is no competing candidate cost to
-///   abandon against while streaming; callers simply stop appending when
-///   they lose interest in a lane.
+/// with exactly the arithmetic (operand order included) of the batch
+/// kernels, so after `j` appends [`best`](Self::best) is
+/// **bit-identical** to a batch subsequence alignment against the first
+/// `j` measured segments — property-tested in this module. There is no
+/// early abandoning: no competing candidate cost exists to abandon
+/// against while streaming; callers simply stop appending when they lose
+/// interest in a lane.
 #[derive(Debug, Default, Clone)]
 pub struct IncrementalDtwCost {
     /// The accumulated-cost column of the most recently appended measured
@@ -944,9 +621,9 @@ impl IncrementalDtwCost {
     }
 
     /// The optimal subsequence cost over the measured segments appended
-    /// so far: bit-identical to [`dtw_segmented_cost_only`] (with
-    /// `band = None`, no abandon limit) against the same measured prefix.
-    /// `None` before the first append.
+    /// so far: bit-identical to [`dtw_segmented_features_into`] (in
+    /// subsequence mode, no abandon limit) against the same measured
+    /// prefix. `None` before the first append.
     pub fn best(&self) -> Option<f64> {
         if self.best.is_finite() {
             Some(self.best)
@@ -979,15 +656,7 @@ impl IncrementalDtwCost {
         let penalty = gap_penalty_per_second.max(0.0);
         let m_dur = m_interval_s.max(1e-3);
         let cell = |i: usize| -> f64 {
-            let (r_lo, r_hi, r_dur) = (reference.lo[i], reference.hi[i], reference.dur[i]);
-            let gap = if r_lo > m_hi {
-                r_lo - m_hi
-            } else if m_lo > r_hi {
-                m_lo - r_hi
-            } else {
-                0.0
-            };
-            r_dur.min(m_dur) * gap
+            segment_cost(reference.lo[i], reference.hi[i], reference.dur[i], m_lo, m_hi, m_dur)
         };
         if self.appended == 0 {
             // First measured column: row 0 is a free subsequence start
@@ -1013,8 +682,8 @@ impl IncrementalDtwCost {
                 let left = self.col[i];
                 let up = above + penalty * reference.dur[i];
                 let left_cost = left + pl;
-                // Same preference order as the batch kernel: diagonal,
-                // then up, then left (ties keep the earlier move).
+                // Same preference order as `advance_row`: diagonal, then
+                // up, then left (ties keep the earlier move).
                 let mut best = diag;
                 if up < best {
                     best = up;
@@ -1040,10 +709,10 @@ impl IncrementalDtwCost {
 /// Per-candidate outcome of a [`dtw_screen_lockstep`] pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScreenOutcome {
-    /// The candidate's cost-only alignment ran to completion under its
-    /// limit. The cost is **bit-identical** to what
-    /// [`dtw_segmented_cost_only`] (and the path-recording kernel) would
-    /// return for the same inputs.
+    /// The candidate's alignment ran to completion under its limit. The
+    /// cost is **bit-identical** to what the path-recording kernel
+    /// ([`dtw_segmented_features_into`] in subsequence mode) returns for
+    /// the same inputs.
     Completed(f64),
     /// The candidate was cut off because its running row minimum (or its
     /// final cost) exceeded its limit. The carried value is a true
@@ -1054,7 +723,7 @@ pub enum ScreenOutcome {
         lower_bound: f64,
     },
     /// No alignment exists: the candidate (or measured) representation is
-    /// empty, the band admits no path, or every endpoint is non-finite.
+    /// empty, or every endpoint is non-finite.
     Infeasible,
 }
 
@@ -1066,403 +735,125 @@ impl ScreenOutcome {
             _ => None,
         }
     }
+}
 
-    /// A lower bound on the candidate's exact alignment cost implied by
-    /// this outcome: the exact cost when completed, the abandon row
-    /// minimum when abandoned, `+∞` when no alignment exists at all.
-    pub fn lower_bound(self) -> f64 {
-        match self {
-            ScreenOutcome::Completed(cost) => cost,
-            ScreenOutcome::Abandoned { lower_bound } => lower_bound,
-            ScreenOutcome::Infeasible => f64::INFINITY,
+/// The outcome of a lane whose final row is `row`: the row minimum is
+/// the subsequence cost (the endpoint may be any measured column).
+fn finish_lane(row: &[f64], limit: f64) -> ScreenOutcome {
+    let mut total = f64::INFINITY;
+    for &v in row {
+        if v < total {
+            total = v;
         }
+    }
+    if !total.is_finite() {
+        ScreenOutcome::Infeasible
+    } else if total > limit {
+        ScreenOutcome::Abandoned { lower_bound: total }
+    } else {
+        ScreenOutcome::Completed(total)
     }
 }
 
 /// Cost-only segmented subsequence DTW over **many candidate references
 /// in lockstep**: the measured representation is walked once per row
 /// while every live candidate advances its own two-row cost table, so the
-/// measured-side feature arrays (and the struct-of-arrays row arena in
-/// [`DtwScratch`]) stay cache-hot across all candidates instead of being
-/// re-streamed per candidate.
+/// measured-side feature arrays (and the row arena in [`DtwScratch`])
+/// stay cache-hot across all candidates instead of being re-streamed per
+/// candidate.
 ///
-/// Per candidate `k` the recurrence, move preference, and abandon rule
-/// are exactly those of [`dtw_segmented_cost_only`]; a `Completed` cost
-/// is bit-identical to a standalone cost-only (or path-recording)
-/// alignment of the same candidate. `limits[k]` (when given) plays the
-/// role of `abandon_above`. On top of the per-candidate limits the pass
-/// maintains one **shared abandon threshold**: when `tighten` is set,
-/// every candidate that completes lowers the shared normalised bound to
-/// its own `cost / len`, and still-running candidates abandon against
-/// `bound · len_k` as well. Tightening makes the pass a racing heuristic
-/// (whichever candidate completes first prunes the rest), so exactness-
-/// preserving callers use `tighten = false` with sound per-candidate
-/// limits and reserve `tighten = true` for ranking-only passes where an
-/// `Abandoned` outcome is still informative through its lower bound.
-///
-/// Two refinements over a literal per-candidate replay of
-/// [`dtw_segmented_cost_only`], both outcome-preserving:
-///
-/// * **Row-0 abandon** — row minima are non-decreasing in the row index
-///   (every path through row `i` passed row `i − 1`), so a lane whose
-///   *first* row minimum already exceeds its limit is abandoned
-///   immediately; the standalone screen would have returned `None` one
-///   row later.
-/// * **Beam racing** (`tighten` mode only) — lanes whose running row
-///   minimum is several times the best lane's minimum at the same row
-///   are cut off; their recorded lower bound is still exact. Ranking
-///   passes use this to discard hopeless candidates after a couple of
-///   rows instead of carrying all of them to completion.
+/// Each lane advances through the same row update as the path-recording
+/// kernel, so a `Completed` cost is bit-identical to
+/// [`dtw_segmented_features_into`] (subsequence mode) for the same
+/// candidate, and a lane abandons exactly when that kernel would return
+/// `None` under `abandon_above = limits[k]`. Row minima never decrease
+/// from one row to the next (every path through row `i` passed row
+/// `i − 1`), so a lane whose *first* row minimum already exceeds its
+/// limit is abandoned at once. Pass `f64::INFINITY` for a candidate that
+/// must not abandon.
 ///
 /// `out` is cleared and refilled with one [`ScreenOutcome`] per
 /// candidate, index-aligned with `candidates`.
 ///
 /// # Panics
 ///
-/// Panics when `limits` is `Some` and its length differs from
-/// `candidates.len()`.
-#[allow(clippy::too_many_arguments)] // hot-path entry mirroring the kernels
+/// Panics when `limits.len()` differs from `candidates.len()`.
 pub fn dtw_screen_lockstep(
     candidates: &[&SegmentFeatures],
     measured: &SegmentFeatures,
     gap_penalty_per_second: f64,
-    band: Option<usize>,
-    limits: Option<&[f64]>,
-    tighten: bool,
+    limits: &[f64],
     scratch: &mut DtwScratch,
     out: &mut Vec<ScreenOutcome>,
 ) {
+    assert_eq!(limits.len(), candidates.len(), "one limit per candidate");
     let penalty = gap_penalty_per_second.max(0.0);
-    let lanes_n = candidates.len();
-    if let Some(limits) = limits {
-        assert_eq!(limits.len(), lanes_n, "one limit per candidate");
-    }
     out.clear();
-    out.resize(lanes_n, ScreenOutcome::Infeasible);
+    out.resize(candidates.len(), ScreenOutcome::Infeasible);
     let m = measured.len();
-    if lanes_n == 0 || m == 0 {
+    if m == 0 {
         return;
     }
-    let DtwScratch { lockstep, lanes, .. } = scratch;
-    lanes.clear();
-    lanes.extend(candidates.iter().map(|c| LaneState {
-        n: c.len(),
-        done: c.is_empty(),
-        row_min: f64::INFINITY,
-    }));
-    let arena = 2 * lanes_n * m;
-    if lockstep.len() < arena {
-        lockstep.resize(arena, f64::INFINITY);
+    let DtwScratch { lockstep, live, .. } = scratch;
+    if lockstep.len() < 2 * candidates.len() * m {
+        lockstep.resize(2 * candidates.len() * m, f64::INFINITY);
     }
-    let (m_lo, m_hi, m_dur) = (&measured.lo[..m], &measured.hi[..m], &measured.dur[..m]);
-    // Branchless form of the segment range distance: at most one of the
-    // two differences is positive (lo ≤ hi on both sides), so the max
-    // chain selects exactly the branch the sequential kernel takes —
-    // bit-identical for the finite features the detectors produce, and
-    // the compiler can vectorize it.
-    let cell_cost = |r_lo: f64, r_hi: f64, r_dur: f64, j: usize| -> f64 {
-        let gap = (r_lo - m_hi[j]).max(m_lo[j] - r_hi).max(0.0);
-        r_dur.min(m_dur[j]) * gap
-    };
-    // The shared tightening bound, normalised by each lane's own length
-    // (candidate lengths differ — wrap splits move with the offset — so
-    // raw totals are not comparable across lanes).
-    let mut shared_norm = f64::INFINITY;
-    let limit_for = |k: usize, n: usize, shared_norm: f64| -> f64 {
-        let mut limit = limits.map_or(f64::INFINITY, |l| l[k]);
-        if tighten && shared_norm.is_finite() {
-            limit = limit.min(shared_norm * n as f64);
-        }
-        limit
-    };
-    // Finishes a lane whose final row occupies `row[lo..]`, mirroring the
-    // endpoint handling of `dtw_segmented_cost_only`.
-    let finish = |row: &[f64], lo: usize, limit: f64| -> ScreenOutcome {
-        let mut total = f64::INFINITY;
-        for &v in &row[lo..] {
-            if v < total {
-                total = v;
-            }
-        }
-        if !total.is_finite() {
-            ScreenOutcome::Infeasible
-        } else if total > limit {
-            ScreenOutcome::Abandoned { lower_bound: total }
-        } else {
-            ScreenOutcome::Completed(total)
-        }
-    };
+    let m_dur = &measured.dur[..m];
+    let left_penalty = |j: usize| penalty * m_dur[j];
 
-    // Beam race (tighten mode only): a lane whose row minimum is this
-    // many times the best lane's minimum at the same row is cut off.
-    // Row minima are exact lower bounds either way, so the outcome still
-    // carries sound information — the beam only trades ranking fidelity
-    // of hopeless lanes for not carrying them to completion.
-    const BEAM: f64 = 4.0;
-    const BEAM_SLACK: f64 = 1e-12;
-
-    // Row 0 for every lane (lanes with a single row finish immediately;
-    // lanes whose first row already exceeds their limit abandon now —
-    // row minima only grow, so the standalone screen would return `None`
-    // one row later anyway).
-    let mut alive = 0usize;
+    // Row 0 of every lane: the free subsequence start.
+    live.clear();
     for (k, cand) in candidates.iter().enumerate() {
-        let lane = &mut lanes[k];
-        if lane.done {
-            continue; // empty candidate: Infeasible
+        if cand.is_empty() {
+            continue; // Infeasible
         }
         let row0 = &mut lockstep[2 * k * m..2 * k * m + m];
-        let (r_lo, r_hi, r_dur) = (cand.lo[0], cand.hi[0], cand.dur[0]);
+        let cost = segment_row_costs(cand, 0, measured);
         let mut row_min = f64::INFINITY;
         for (j, slot) in row0.iter_mut().enumerate() {
-            let v = cell_cost(r_lo, r_hi, r_dur, j);
+            let v = cost(j);
             *slot = v;
             if v < row_min {
                 row_min = v;
             }
         }
-        lane.row_min = row_min;
-        let limit = limit_for(k, lane.n, shared_norm);
-        if lane.n == 1 {
-            lane.done = true;
-            let outcome = finish(row0, 0, limit);
-            if tighten {
-                if let ScreenOutcome::Completed(cost) = outcome {
-                    shared_norm = shared_norm.min(cost);
-                }
-            }
-            out[k] = outcome;
-        } else if row_min > limit {
-            lane.done = true;
+        if cand.len() == 1 {
+            out[k] = finish_lane(row0, limits[k]);
+        } else if row_min > limits[k] {
             out[k] = ScreenOutcome::Abandoned { lower_bound: row_min };
         } else {
-            alive += 1;
+            live.push(k);
         }
-    }
-    if tighten && alive > 1 {
-        alive -= beam_prune(lanes, out, BEAM, BEAM_SLACK);
     }
 
-    // Advance every live lane one row per iteration. `flip` selects which
-    // half of each lane's arena holds the previous row.
-    let mut flip = 0usize;
+    // Advance every live lane one row per round. Row `i` of a lane lives
+    // in the half `i % 2` of its arena.
     let mut i = 1usize;
-    while alive > 0 {
-        for (k, cand) in candidates.iter().enumerate() {
-            let lane = &mut lanes[k];
-            if lane.done || lane.n <= i {
-                continue;
-            }
-            let n = lane.n;
-            let lo = match band {
-                // See `dtw_kernel`: budget the minimal warp forced by a
-                // longer reference on top of the configured band.
-                Some(b) => i.saturating_sub(b + n.saturating_sub(m)),
-                None => 0,
-            };
-            if lo >= m {
-                lane.done = true;
-                alive -= 1;
-                out[k] = ScreenOutcome::Infeasible;
-                continue;
-            }
-            let base = 2 * k * m;
-            let lane_rows = &mut lockstep[base..base + 2 * m];
-            let (half_a, half_b) = lane_rows.split_at_mut(m);
-            let (prev, cur): (&[f64], &mut [f64]) =
-                if flip == 0 { (half_a, half_b) } else { (half_b, half_a) };
-            let (r_lo, r_hi, r_dur) = (cand.lo[i], cand.hi[i], cand.dur[i]);
-            let pu = penalty * r_dur;
-            if lo > 0 {
-                cur[lo - 1] = f64::INFINITY;
-            }
-            let mut left = {
-                let diag = if lo > 0 { prev[lo - 1] } else { f64::INFINITY };
-                let up = prev[lo] + pu;
-                let best = if diag <= up { diag } else { up };
-                let v = cell_cost(r_lo, r_hi, r_dur, lo) + best;
-                cur[lo] = v;
-                v
-            };
-            let mut row_min = left;
-            for j in lo + 1..m {
-                let diag = prev[j - 1];
-                let up = prev[j] + pu;
-                let left_cost = left + penalty * m_dur[j];
-                let mut best = diag;
-                if up < best {
-                    best = up;
-                }
-                if left_cost < best {
-                    best = left_cost;
-                }
-                let v = cell_cost(r_lo, r_hi, r_dur, j) + best;
-                cur[j] = v;
-                left = v;
-                if v < row_min {
-                    row_min = v;
-                }
-            }
-            lane.row_min = row_min;
-            let limit = limit_for(k, n, shared_norm);
-            if row_min > limit {
-                lane.done = true;
-                alive -= 1;
+    while !live.is_empty() {
+        live.retain(|&k| {
+            let cand = candidates[k];
+            let (half_a, half_b) = lockstep[2 * k * m..2 * k * m + 2 * m].split_at_mut(m);
+            let (prev, cur) = if i % 2 == 1 { (half_a, half_b) } else { (half_b, half_a) };
+            let row_min = advance_row(
+                prev,
+                cur,
+                None,
+                penalty * cand.dur[i],
+                segment_row_costs(cand, i, measured),
+                left_penalty,
+            );
+            if row_min > limits[k] {
                 out[k] = ScreenOutcome::Abandoned { lower_bound: row_min };
-                continue;
+                false
+            } else if i + 1 == cand.len() {
+                out[k] = finish_lane(cur, limits[k]);
+                false
+            } else {
+                true
             }
-            if i == n - 1 {
-                lane.done = true;
-                alive -= 1;
-                let outcome = finish(cur, lo, limit);
-                if tighten {
-                    if let ScreenOutcome::Completed(cost) = outcome {
-                        shared_norm = shared_norm.min(cost / n as f64);
-                    }
-                }
-                out[k] = outcome;
-            }
-        }
-        if tighten && alive > 1 {
-            alive -= beam_prune(lanes, out, BEAM, BEAM_SLACK);
-        }
-        flip ^= 1;
+        });
         i += 1;
     }
-}
-
-/// The beam race of [`dtw_screen_lockstep`]'s tighten mode: abandons
-/// every live lane whose current row minimum exceeds `beam ×` the best
-/// live lane's, recording the (exact) row-minimum lower bound. Returns
-/// how many lanes were cut.
-fn beam_prune(lanes: &mut [LaneState], out: &mut [ScreenOutcome], beam: f64, slack: f64) -> usize {
-    let mut round_min = f64::INFINITY;
-    for lane in lanes.iter() {
-        if !lane.done && lane.row_min < round_min {
-            round_min = lane.row_min;
-        }
-    }
-    if !round_min.is_finite() {
-        return 0;
-    }
-    let cutoff = beam * round_min + slack;
-    let mut cut = 0usize;
-    for (lane, slot) in lanes.iter_mut().zip(out.iter_mut()) {
-        if !lane.done && lane.row_min > cutoff {
-            lane.done = true;
-            *slot = ScreenOutcome::Abandoned { lower_bound: lane.row_min };
-            cut += 1;
-        }
-    }
-    cut
-}
-
-/// The specialised DP loop behind [`dtw_segmented_features_into`] in
-/// subsequence mode — the innermost loop of the localization pipeline.
-/// Same recurrence, move preference, and abandon rule as `dtw_kernel`;
-/// the segment features stream through explicitly-sized slices (so the
-/// optimiser drops the bounds checks) and the `left` neighbour is carried
-/// in a register instead of re-read from the matrix.
-fn dtw_segmented_subsequence_kernel(
-    reference: &SegmentFeatures,
-    measured: &SegmentFeatures,
-    penalty: f64,
-    band: Option<usize>,
-    abandon_above: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<f64> {
-    let n = reference.len();
-    let m = measured.len();
-    scratch.path.clear();
-    if n == 0 || m == 0 {
-        return None;
-    }
-    scratch.ensure_matrix(n * m);
-    let acc = &mut scratch.acc;
-    let moves = &mut scratch.moves;
-    let (m_lo, m_hi, m_dur) = (&measured.lo[..m], &measured.hi[..m], &measured.dur[..m]);
-    let cell_cost = |r_lo: f64, r_hi: f64, r_dur: f64, j: usize| -> f64 {
-        let gap = if r_lo > m_hi[j] {
-            r_lo - m_hi[j]
-        } else if m_lo[j] > r_hi {
-            m_lo[j] - r_hi
-        } else {
-            0.0
-        };
-        r_dur.min(m_dur[j]) * gap
-    };
-
-    {
-        let (r_lo, r_hi, r_dur) = (reference.lo[0], reference.hi[0], reference.dur[0]);
-        let row0 = &mut acc[..m];
-        for (j, slot) in row0.iter_mut().enumerate() {
-            *slot = cell_cost(r_lo, r_hi, r_dur, j);
-        }
-        moves[..m].fill(MOVE_START);
-    }
-
-    let mut last_lo = 0usize;
-    for i in 1..n {
-        let lo = match band {
-            // See `dtw_kernel`: budget the minimal warp forced by a longer
-            // reference on top of the configured band.
-            Some(b) => i.saturating_sub(b + n.saturating_sub(m)),
-            None => 0,
-        };
-        if lo >= m {
-            return None;
-        }
-        let row = i * m;
-        let (before, after) = acc.split_at_mut(row);
-        let prev = &before[row - m..][..m];
-        let cur = &mut after[..m];
-        let mrow = &mut moves[row..][..m];
-        let (r_lo, r_hi, r_dur) = (reference.lo[i], reference.hi[i], reference.dur[i]);
-        let pu = penalty * r_dur;
-        if lo > 0 {
-            cur[lo - 1] = f64::INFINITY;
-        }
-        let mut left = {
-            let diag = if lo > 0 { prev[lo - 1] } else { f64::INFINITY };
-            let up = prev[lo] + pu;
-            let (best, mv) = if diag <= up { (diag, MOVE_DIAG) } else { (up, MOVE_UP) };
-            let v = cell_cost(r_lo, r_hi, r_dur, lo) + best;
-            cur[lo] = v;
-            mrow[lo] = mv;
-            v
-        };
-        let mut row_min = left;
-        for j in lo + 1..m {
-            let diag = prev[j - 1];
-            let up = prev[j] + pu;
-            let left_cost = left + penalty * m_dur[j];
-            let mut best = diag;
-            let mut mv = MOVE_DIAG;
-            if up < best {
-                best = up;
-                mv = MOVE_UP;
-            }
-            if left_cost < best {
-                best = left_cost;
-                mv = MOVE_LEFT;
-            }
-            let v = cell_cost(r_lo, r_hi, r_dur, j) + best;
-            cur[j] = v;
-            mrow[j] = mv;
-            left = v;
-            if v < row_min {
-                row_min = v;
-            }
-        }
-        if let Some(limit) = abandon_above {
-            if row_min > limit {
-                return None;
-            }
-        }
-        last_lo = lo;
-    }
-
-    finish_alignment(acc, moves, &mut scratch.path, n, m, true, last_lo, abandon_above)
 }
 
 #[cfg(test)]
@@ -1590,43 +981,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_band_matches_exact_alignment() {
-        let a = vec![0.0, 1.0, 2.5, 3.0, 2.0, 1.0, 0.5];
-        let b = vec![0.1, 0.9, 1.1, 2.6, 3.1, 2.1, 0.9, 0.4];
-        let exact = dtw_full(&a, &b).unwrap();
-        let band = dtw_full_banded(&a, &b, Some(a.len().max(b.len()))).unwrap();
-        assert_eq!(exact, band);
-        let exact_sub = dtw_subsequence(&a, &b).unwrap();
-        let band_sub = dtw_subsequence_banded(&a, &b, Some(a.len().max(b.len()))).unwrap();
-        assert_eq!(exact_sub, band_sub);
-    }
-
-    #[test]
-    fn narrow_band_restricts_warping() {
-        // A long flat prefix forces the exact alignment to warp heavily;
-        // a zero-width band forbids any warping at all, so the banded cost
-        // can only be larger (the diagonal pairing).
-        let a = vec![0.0, 1.0, 2.0, 3.0];
-        let b = vec![0.0, 0.0, 0.0, 1.0];
-        let exact = dtw_full(&a, &b).unwrap();
-        let banded = dtw_full_banded(&a, &b, Some(0)).unwrap();
-        assert!(banded.cost >= exact.cost - 1e-12);
-        assert_eq!(banded.path.len(), a.len());
-        for &(i, j) in &banded.path {
-            assert_eq!(i, j);
-        }
-    }
-
-    #[test]
-    fn infeasible_band_returns_none() {
-        // Band 0 with very different lengths: the diagonal jumps by more
-        // than one column per row, so rows become disconnected.
-        let a = vec![0.0, 1.0];
-        let b = vec![0.0; 12];
-        assert!(dtw_full_banded(&a, &b, Some(0)).is_none());
-    }
-
-    #[test]
     fn scratch_reuse_is_equivalent_to_fresh_runs() {
         let mut scratch = DtwScratch::new();
         let pairs: Vec<(Vec<f64>, Vec<f64>)> = vec![
@@ -1636,7 +990,7 @@ mod tests {
         ];
         for (a, b) in &pairs {
             for subsequence in [false, true] {
-                let cost = dtw_values_into(a, b, subsequence, None, &mut scratch).unwrap();
+                let cost = dtw_values_into(a, b, subsequence, &mut scratch).unwrap();
                 let fresh = if subsequence {
                     dtw_subsequence(a, b).unwrap()
                 } else {
@@ -1663,13 +1017,12 @@ mod tests {
             SegmentedProfile::build(&PhaseProfile::from_pairs(&pb), 2)
         };
         let mut scratch = DtwScratch::new();
-        let exact =
-            dtw_segmented_into(&sr, &sm, true, 0.5, None, None, &mut scratch).expect("aligns");
+        let exact = dtw_segmented_into(&sr, &sm, true, 0.5, None, &mut scratch).expect("aligns");
         // A bound above the true cost must not abandon…
-        let kept = dtw_segmented_into(&sr, &sm, true, 0.5, None, Some(exact + 1.0), &mut scratch);
+        let kept = dtw_segmented_into(&sr, &sm, true, 0.5, Some(exact + 1.0), &mut scratch);
         assert_eq!(kept, Some(exact));
         // …a bound below it must.
-        let cut = dtw_segmented_into(&sr, &sm, true, 0.5, None, Some(exact / 2.0), &mut scratch);
+        let cut = dtw_segmented_into(&sr, &sm, true, 0.5, Some(exact / 2.0), &mut scratch);
         assert_eq!(cut, None);
     }
 
@@ -1784,8 +1137,14 @@ mod tests {
                 );
                 assert_eq!(inc.appended(), j + 1);
                 let prefix = features_prefix(&measured, j + 1);
-                let want =
-                    dtw_segmented_cost_only(&reference, &prefix, penalty, None, None, &mut scratch);
+                let want = dtw_segmented_features_into(
+                    &reference,
+                    &prefix,
+                    true,
+                    penalty,
+                    None,
+                    &mut scratch,
+                );
                 assert_eq!(
                     want.map(f64::to_bits),
                     got.map(f64::to_bits),
@@ -1807,7 +1166,8 @@ mod tests {
         for j in 0..measured.len() {
             let got = inc.append(&reference, 0.5, measured.lo[j], measured.hi[j], measured.dur[j]);
             let prefix = features_prefix(&measured, j + 1);
-            let want = dtw_segmented_cost_only(&reference, &prefix, 0.5, None, None, &mut scratch);
+            let want =
+                dtw_segmented_features_into(&reference, &prefix, true, 0.5, None, &mut scratch);
             assert_eq!(want.map(f64::to_bits), got.map(f64::to_bits), "prefix {}", j + 1);
         }
     }

@@ -45,10 +45,9 @@ pub mod vzone;
 
 pub use batch::BatchLocalizer;
 pub use dtw::{
-    decimated_band, dtw_full, dtw_full_banded, dtw_screen_lockstep, dtw_segmented,
-    dtw_segmented_banded, dtw_segmented_cost_only, dtw_segmented_features_into, dtw_segmented_into,
-    dtw_segmented_with_penalty, dtw_subsequence, dtw_subsequence_banded, path_matched_range,
-    DtwResult, DtwScratch, IncrementalDtwCost, ScreenOutcome, SegmentFeatures,
+    dtw_full, dtw_screen_lockstep, dtw_segmented, dtw_segmented_features_into, dtw_segmented_into,
+    dtw_segmented_with_penalty, dtw_subsequence, path_matched_range, DtwResult, DtwScratch,
+    IncrementalDtwCost, ScreenOutcome, SegmentFeatures,
 };
 pub use metrics::{kendall_tau, ordering_accuracy, OrderingScore};
 pub use ordering::{gap_metric, order_metric, OrderingEngine, TagVZoneSummary};

@@ -66,7 +66,9 @@ pub enum DetectionMethod {
     NaiveUnwrap,
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration. Detection always runs the paper's exact
+/// segmented DTW through one candidate screen (see [`VZoneDetector`]);
+/// these fields set the paper's parameters, not the algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StppConfig {
     /// Segmentation window `w` for the DTW optimisation (paper default 5).
@@ -89,20 +91,6 @@ pub struct StppConfig {
     pub y_strategy: YOrderingStrategy,
     /// Minimum number of reads a tag needs before we try to localize it.
     pub min_reads: usize,
-    /// Sakoe-Chiba band width (in segments) for the segmented DTW;
-    /// `None` = exact alignment (the default, and the paper's algorithm).
-    /// See the [`dtw`](crate::dtw) module docs for the band semantics.
-    pub dtw_band: Option<usize>,
-    /// Screen the offset candidates in lockstep
-    /// ([`VZoneDetector::lockstep_screen`]); `false` restores the PR 2
-    /// sequential screen. Results are bit-identical either way (the
-    /// exactness suite pins it), only the work skipped differs.
-    pub lockstep_screen: bool,
-    /// Run the coarse-to-fine (double-window decimated) pre-alignment on
-    /// cold detection scratches to rank the offset candidates before the
-    /// threshold-seeding alignment ([`VZoneDetector::coarse_prealign`]);
-    /// `false` skips the coarse stage. Bit-identical either way.
-    pub coarse_prealign: bool,
 }
 
 impl Default for StppConfig {
@@ -116,9 +104,6 @@ impl Default for StppConfig {
             detection: DetectionMethod::SegmentedDtw,
             y_strategy: YOrderingStrategy::Pivot,
             min_reads: 12,
-            dtw_band: None,
-            lockstep_screen: true,
-            coarse_prealign: true,
         }
     }
 }
@@ -325,10 +310,7 @@ impl DetectionEngine {
         .with_periods(config.reference_periods);
         let dtw_detector = VZoneDetector::new(reference_params)
             .with_window(config.window)
-            .with_offset_candidates(config.offset_candidates)
-            .with_dtw_band(config.dtw_band)
-            .with_lockstep_screen(config.lockstep_screen)
-            .with_coarse_prealign(config.coarse_prealign);
+            .with_offset_candidates(config.offset_candidates);
         Ok(DetectionEngine {
             config,
             dtw_detector,

@@ -204,14 +204,6 @@ pub struct OffsetPattern {
     pub segments: SegmentedProfile,
     /// The pattern's segment features, pre-flattened for the DTW kernel.
     pub features: SegmentFeatures,
-    /// Half-resolution ("double window") decimation of `features`, used
-    /// by the detector's coarse-to-fine pre-alignment to *rank* the
-    /// offset candidates on cold scratches: aligned against a decimated
-    /// measured representation with the configured gap penalty kept (a
-    /// sharper heuristic score — with penalty zero the decimated cost is
-    /// a provable lower bound of the fine cost, but too weak to prune
-    /// soundly; see [`SegmentFeatures::decimate_into`]).
-    pub coarse_features: SegmentFeatures,
     /// The pattern's segment range covering the reference V-zone samples.
     pub vzone_segments: std::ops::Range<usize>,
     /// Time span of the pattern, seconds.
@@ -290,12 +282,10 @@ impl ReferenceBank {
             let vzone_segments =
                 segments.segments_covering(vzone_in_pattern.start, vzone_in_pattern.end);
             let features = SegmentFeatures::from_segmented(&segments);
-            let coarse_features = features.decimated();
             patterns.push(OffsetPattern {
                 offset_rad,
                 segments,
                 features,
-                coarse_features,
                 vzone_segments,
                 duration_s,
             });

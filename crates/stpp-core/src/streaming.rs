@@ -296,7 +296,7 @@ impl StreamingTagTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtw::{dtw_segmented_cost_only, DtwScratch, SegmentFeatures};
+    use crate::dtw::{dtw_segmented_features_into, DtwScratch, SegmentFeatures};
     use crate::reference::ReferenceProfileParams;
 
     const WAVELENGTH_M: f64 = 0.326;
@@ -398,7 +398,7 @@ mod tests {
         }
         let bank = tracker.bank.clone().expect("bank resolved");
         // Batch counterpart: the completed (all but last) segments of the
-        // full profile, aligned with the plain cost-only kernel.
+        // full profile, aligned with the path-recording kernel.
         let profile = PhaseProfile::from_pairs(&stream);
         let seg = SegmentedProfile::build(&profile, window);
         let completed = seg.len() - 1;
@@ -409,11 +409,11 @@ mod tests {
         }
         let mut scratch = DtwScratch::new();
         for (k, pattern) in bank.patterns.iter().enumerate() {
-            let want = dtw_segmented_cost_only(
+            let want = dtw_segmented_features_into(
                 &pattern.features,
                 &measured,
+                true,
                 penalty,
-                None,
                 None,
                 &mut scratch,
             );

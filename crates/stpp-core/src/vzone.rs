@@ -14,6 +14,9 @@
 //!   fitting). Because the hardware phase offset `μ` of the measured
 //!   profile is unknown, the detector tries a small set of candidate
 //!   offsets applied to the reference and keeps the lowest-cost match.
+//!   Every candidate is scored by exact DTW; a lockstep screen
+//!   ([`dtw_screen_lockstep`]) only skips the alignments that provably
+//!   cannot win, so the chosen candidate is the exhaustive argmin.
 //! * [`NaiveUnwrapDetector`] — the "straightforward solution" the paper
 //!   argues against: unwrap the whole profile and take the global minimum.
 //!   Kept as an ablation baseline.
@@ -24,8 +27,8 @@ use rfid_phys::wrap_phase;
 use serde::{Deserialize, Serialize};
 
 use crate::dtw::{
-    decimated_band, dtw_screen_lockstep, dtw_segmented_cost_only, dtw_segmented_features_into,
-    path_matched_range, DtwScratch, ScreenOutcome, SegmentFeatures,
+    dtw_screen_lockstep, dtw_segmented_features_into, path_matched_range, DtwScratch,
+    ScreenOutcome, SegmentFeatures,
 };
 use crate::profile::{PhaseProfile, PhaseSample};
 use crate::reference::{BankCacheStats, ReferenceBank, ReferenceBankCache, ReferenceProfileParams};
@@ -216,8 +219,8 @@ pub struct VZoneDetection {
     pub match_cost: Option<f64>,
     /// Index of the winning hardware-offset candidate in the detector's
     /// [`ReferenceBank`] (`None` for the naive detector). Exposed so the
-    /// equivalence suite can assert that every screening strategy agrees
-    /// on the argmin candidate, not just on the end result.
+    /// exactness suite can check the candidate screen's argmin, not just
+    /// the end result.
     pub offset_index: Option<usize>,
     /// The quarter-wavelength refinement cap
     /// ([`ReferenceBank::max_half_duration_s`]) the detection was refined
@@ -555,17 +558,13 @@ pub struct DetectScratch {
     dtw: DtwScratch,
     measured_seg: SegmentedProfile,
     measured_feat: SegmentFeatures,
-    /// Half-resolution decimation of `measured_feat` for the
-    /// coarse-to-fine pre-alignment (rebuilt on cold-scratch detections
-    /// when enabled).
-    measured_coarse: SegmentFeatures,
     /// Candidate trial order of the current detection.
     order: Vec<usize>,
     /// Per-candidate outcomes of the most recent lockstep screen.
     outcomes: Vec<ScreenOutcome>,
     /// `(normalised cost, candidate)` pairs that beat the running best.
     survivors: Vec<(f64, usize)>,
-    /// Per-candidate abandon limits / coarse ranking scores buffer.
+    /// Per-candidate abandon limits of the lockstep screen.
     limits: Vec<f64>,
     /// Reusable buffer for the median-interval selection.
     gaps: Vec<f64>,
@@ -624,30 +623,6 @@ pub struct VZoneDetector {
     /// Gap penalty (rad/s of warped time) applied to the segmented DTW so
     /// the alignment cannot collapse onto a single wide-range segment.
     pub gap_penalty_per_second: f64,
-    /// Sakoe-Chiba band width (in segments) for the segmented DTW;
-    /// `None` = exact alignment. See the [`dtw`](crate::dtw) module docs
-    /// for the subsequence band semantics. Too narrow a band can make
-    /// short profiles undetectable (the pattern no longer fits).
-    pub dtw_band: Option<usize>,
-    /// Screen the offset candidates with the lockstep kernel
-    /// ([`dtw_screen_lockstep`]): one full path-recording alignment seeds
-    /// the abandon threshold, the remaining candidates advance their
-    /// cost-only tables together, and only survivors that beat the best
-    /// are re-aligned with path recording. `false` restores the PR 2
-    /// sequential screen. The selected candidate and the end-to-end
-    /// result are bit-identical either way (pinned by the exactness
-    /// suite).
-    pub lockstep_screen: bool,
-    /// Run the coarse-to-fine (double-window decimated,
-    /// [`SegmentFeatures::decimate_into`]) pre-alignment on cold
-    /// scratches: a beam-raced half-resolution pass over the bank ranks
-    /// the candidates, so the abandon threshold is seeded by the most
-    /// promising candidate's full alignment instead of an arbitrary
-    /// first guess. Warm scratches lead with the previous winner and
-    /// skip the coarse pass entirely. Ranking only affects trial order —
-    /// the selected argmin is order-independent — so results are exact
-    /// either way.
-    pub coarse_prealign: bool,
 }
 
 impl VZoneDetector {
@@ -661,9 +636,6 @@ impl VZoneDetector {
             min_samples: 12,
             min_vzone_samples: 5,
             gap_penalty_per_second: 0.5,
-            dtw_band: None,
-            lockstep_screen: true,
-            coarse_prealign: true,
         }
     }
 
@@ -676,26 +648,6 @@ impl VZoneDetector {
     /// Overrides the number of reference phase offsets tried.
     pub fn with_offset_candidates(mut self, candidates: usize) -> Self {
         self.offset_candidates = candidates.max(1);
-        self
-    }
-
-    /// Overrides the DTW band width (`None` = exact).
-    pub fn with_dtw_band(mut self, band: Option<usize>) -> Self {
-        self.dtw_band = band;
-        self
-    }
-
-    /// Toggles the lockstep candidate screen (`false` = the PR 2
-    /// sequential screen; the outcome is bit-identical either way).
-    pub fn with_lockstep_screen(mut self, enabled: bool) -> Self {
-        self.lockstep_screen = enabled;
-        self
-    }
-
-    /// Toggles the coarse-to-fine pre-alignment (`false` = no coarse
-    /// stage; the outcome is bit-identical either way).
-    pub fn with_coarse_prealign(mut self, enabled: bool) -> Self {
-        self.coarse_prealign = enabled;
         self
     }
 
@@ -799,7 +751,6 @@ impl VZoneDetector {
             dtw,
             measured_seg,
             measured_feat,
-            measured_coarse,
             hint,
             work_a,
             work_b,
@@ -821,15 +772,9 @@ impl VZoneDetector {
         // Find the best-matching offset candidate: the minimum normalised
         // cost over every candidate that passes the matched-range and
         // duration filters, ties resolved to the smaller candidate index.
-        // Both screening strategies compute exactly that argmin — the
-        // fast path only changes *which* alignments are provably skipped
-        // — so the detection is bit-identical across the switches (pinned
-        // by the exactness suite).
-        let best = if self.lockstep_screen || self.coarse_prealign {
-            ctx.screen_fast(dtw, *hint, measured_coarse, order, outcomes, survivors, limits)
-        } else {
-            ctx.screen_sequential(dtw, *hint)
-        };
+        // The screen only skips alignments that provably lose (pinned
+        // against an exhaustive oracle by the exactness suite).
+        let best = ctx.screen(dtw, *hint, order, outcomes, survivors, limits);
 
         let Some((cost, winner, range)) = best else {
             return Ok(None);
@@ -863,7 +808,7 @@ impl VZoneDetector {
     }
 }
 
-/// The borrowed per-detection state both screening strategies share: the
+/// The borrowed per-detection state of the candidate screen: the
 /// configured detector, the reference bank, and the measured profile's
 /// representations.
 struct ScreenCtx<'a> {
@@ -878,13 +823,21 @@ struct ScreenCtx<'a> {
 /// sample range)`.
 type ScreenBest = Option<(f64, usize, std::ops::Range<usize>)>;
 
+/// The abandon limit of an `n`-segment candidate against the best
+/// normalised cost so far: no raw cost `c` with `c / n ≤ best_norm` (as
+/// rounded) exceeds it, so the screen never abandons a candidate that
+/// ties the best and wins on index. `best_norm · n` alone can round
+/// below such a `c`.
+fn abandon_limit(best_norm: f64, n: usize) -> f64 {
+    best_norm.next_up() * n as f64
+}
+
 impl ScreenCtx<'_> {
     /// Runs the full path-recording alignment for candidate `k` and
     /// applies the acceptance filters (V-zone matched range non-empty,
     /// matched span retains a reasonable fraction of the pattern
-    /// duration) — the shared "accept a candidate" step of both
-    /// screening strategies. Returns the normalised cost and matched
-    /// sample range on success.
+    /// duration). Returns the normalised cost and matched sample range
+    /// on success.
     fn align_candidate(
         &self,
         k: usize,
@@ -897,7 +850,6 @@ impl ScreenCtx<'_> {
             self.measured_feat,
             true,
             self.detector.gap_penalty_per_second,
-            self.detector.dtw_band,
             None,
             dtw,
         )?;
@@ -922,144 +874,34 @@ impl ScreenCtx<'_> {
         Some((normalised_cost, sample_range))
     }
 
-    /// The PR 2 screening loop (`lockstep_screen` and `coarse_prealign`
-    /// both off): try every offset candidate in hint-first order, screen
-    /// each after the first with a sequential cost-only alignment that
-    /// early-abandons against the best so far, and keep the best match.
-    /// The outcome is order independent (candidates that lose to the
-    /// running best are exactly the ones early abandoning discards, and
-    /// exact cost ties resolve to the smaller candidate index).
-    fn screen_sequential(&self, dtw: &mut DtwScratch, hint: Option<usize>) -> ScreenBest {
-        let candidates = self.bank.patterns.len();
-        let first = hint.filter(|h| *h < candidates).unwrap_or(0);
-        let mut best: ScreenBest = None;
-        for step in 0..candidates {
-            let k = if step == 0 {
-                first
-            } else {
-                // Steps 1.. enumerate the remaining candidates in index
-                // order, skipping the one already tried first.
-                let k = step - 1;
-                if k >= first {
-                    k + 1
-                } else {
-                    k
-                }
-            };
-            let pattern = &self.bank.patterns[k];
-            let n = pattern.features.len();
-            // Screen every candidate after the first with the cost-only
-            // alignment (two rolling rows, no path, early abandoning
-            // against the best so far). Only a candidate that improves on
-            // the best match is re-aligned with path recording — with the
-            // hint, that is typically one full alignment per tag.
-            let screened = match &best {
-                None => None,
-                Some((best_cost, bk, _)) => {
-                    let abandon_above = Some(best_cost * n as f64);
-                    let Some(cost) = dtw_segmented_cost_only(
-                        &pattern.features,
-                        self.measured_feat,
-                        self.detector.gap_penalty_per_second,
-                        self.detector.dtw_band,
-                        abandon_above,
-                        dtw,
-                    ) else {
-                        continue;
-                    };
-                    let normalised = cost / n.max(1) as f64;
-                    if !(normalised < *best_cost || (normalised == *best_cost && k < *bk)) {
-                        continue;
-                    }
-                    Some(normalised)
-                }
-            };
-            if let Some((normalised_cost, sample_range)) = self.align_candidate(k, dtw) {
-                debug_assert!(screened.is_none_or(|s| s == normalised_cost));
-                best = Some((normalised_cost, k, sample_range));
-            }
-        }
-        best
-    }
-
-    /// The screened strategy behind the `lockstep_screen` /
-    /// `coarse_prealign` switches. Three stages:
+    /// The candidate screen, in three stages:
     ///
-    /// 1. **Trial order** — the previous winner first (warm scratch;
-    ///    tags of one sweep share the reader's hardware offset). On a
-    ///    cold scratch with `coarse_prealign` on, a double-window
-    ///    decimated pre-alignment pass over the bank ranks every
-    ///    candidate instead: the lockstep kernel races the candidates at
-    ///    half resolution, its shared abandon threshold tightening as
-    ///    any candidate completes, and the surviving scores order the
-    ///    trial sequence. (The ranking only chooses *order*; the argmin
-    ///    is order-independent, so exactness cannot depend on it.)
-    /// 2. **Seed** — one full path-recording alignment of the first
-    ///    acceptable candidate establishes the abandon threshold before
-    ///    any fine screening runs.
-    /// 3. **Fine screen** — the remaining candidates run their cost-only
-    ///    tables against that threshold, in lockstep
-    ///    ([`dtw_screen_lockstep`]) or sequentially; survivors are
-    ///    re-aligned with path recording in ascending `(cost, index)`
-    ///    order so the final argmin (and its warping path) is exactly
-    ///    the sequential strategy's.
-    #[allow(clippy::too_many_arguments)] // scratch-buffer plumbing, internal
-    fn screen_fast(
+    /// 1. **Trial order** — the previous winner first (tags of one sweep
+    ///    share the reader's hardware offset), then the rest in index
+    ///    order.
+    /// 2. **Seed** — the full path-recording alignment of the first
+    ///    acceptable candidate sets the abandon threshold.
+    /// 3. **Lockstep screen** — the remaining candidates advance their
+    ///    cost tables together ([`dtw_screen_lockstep`]), each abandoning
+    ///    once it can no longer match the seed. Survivors are re-aligned
+    ///    with path recording in ascending `(cost, index)` order, so the
+    ///    result is the minimum normalised cost over every acceptable
+    ///    candidate, ties to the smaller index, whatever the trial order.
+    fn screen(
         &self,
         dtw: &mut DtwScratch,
         hint: Option<usize>,
-        measured_coarse: &mut SegmentFeatures,
         order: &mut Vec<usize>,
         outcomes: &mut Vec<ScreenOutcome>,
         survivors: &mut Vec<(f64, usize)>,
         limits: &mut Vec<f64>,
     ) -> ScreenBest {
         let candidates = self.bank.patterns.len();
-        let use_lockstep = self.detector.lockstep_screen;
-        let use_coarse = self.detector.coarse_prealign;
-        let penalty = self.detector.gap_penalty_per_second;
-        let band = self.detector.dtw_band;
-        let valid_hint = hint.filter(|h| *h < candidates);
-        // One reusable candidate-reference list serves both lockstep
-        // passes (the surrounding buffers all live in the scratch, but a
-        // `Vec<&SegmentFeatures>` cannot — it borrows the bank).
-        let mut refs: Vec<&SegmentFeatures> = Vec::with_capacity(candidates);
-
-        // Stage 1: trial order.
+        let first = hint.filter(|h| *h < candidates).unwrap_or(0);
         order.clear();
-        if use_coarse && valid_hint.is_none() {
-            self.measured_feat.decimate_into(measured_coarse);
-            refs.extend(self.bank.patterns.iter().map(|p| &p.coarse_features));
-            dtw_screen_lockstep(
-                &refs,
-                measured_coarse,
-                penalty,
-                decimated_band(band),
-                None,
-                true,
-                dtw,
-                outcomes,
-            );
-            // Rank by the normalised coarse score (completed cost, or the
-            // row-minimum lower bound where the race cut a candidate
-            // off), ties on the candidate index.
-            limits.clear();
-            limits.extend(
-                outcomes
-                    .iter()
-                    .zip(self.bank.patterns.iter())
-                    .map(|(o, p)| o.lower_bound() / p.coarse_features.len().max(1) as f64),
-            );
-            order.extend(0..candidates);
-            order.sort_by(|&a, &b| limits[a].total_cmp(&limits[b]).then(a.cmp(&b)));
-        } else {
-            let first = valid_hint.unwrap_or(0);
-            order.push(first);
-            order.extend((0..candidates).filter(|k| *k != first));
-        }
+        order.push(first);
+        order.extend((0..candidates).filter(|k| *k != first));
 
-        // Stage 2: seed the abandon threshold with the first candidate
-        // that passes the acceptance filters.
         let mut pos = 0usize;
         let mut best: ScreenBest = None;
         while pos < order.len() {
@@ -1076,71 +918,38 @@ impl ScreenCtx<'_> {
             return Some((best_norm, best_k, best_range));
         }
 
-        // Stage 3: fine screen of the remaining candidates against the
-        // seeded threshold. Survivor costs are bit-identical to the full
-        // alignment's, so processing them in ascending (cost, index)
-        // order and re-checking against the tightening best reproduces
-        // the sequential argmin exactly.
-        if use_lockstep {
-            refs.clear();
-            refs.extend(remaining.iter().map(|&k| &self.bank.patterns[k].features));
-            limits.clear();
-            limits.extend(
-                remaining.iter().map(|&k| best_norm * self.bank.patterns[k].features.len() as f64),
-            );
-            dtw_screen_lockstep(
-                &refs,
-                self.measured_feat,
-                penalty,
-                band,
-                Some(limits),
-                false,
-                dtw,
-                outcomes,
-            );
-            survivors.clear();
-            for (&k, outcome) in remaining.iter().zip(outcomes.iter()) {
-                if let Some(cost) = outcome.completed() {
-                    let n = self.bank.patterns[k].features.len();
-                    let norm = cost / n.max(1) as f64;
-                    if norm < best_norm || (norm == best_norm && k < best_k) {
-                        survivors.push((norm, k));
-                    }
+        // Completed costs are bit-identical to the path kernel's, so the
+        // survivors can be ranked before any of them is re-aligned.
+        let refs: Vec<&SegmentFeatures> =
+            remaining.iter().map(|&k| &self.bank.patterns[k].features).collect();
+        limits.clear();
+        limits.extend(refs.iter().map(|f| abandon_limit(best_norm, f.len())));
+        dtw_screen_lockstep(
+            &refs,
+            self.measured_feat,
+            self.detector.gap_penalty_per_second,
+            limits,
+            dtw,
+            outcomes,
+        );
+        survivors.clear();
+        for (&k, outcome) in remaining.iter().zip(outcomes.iter()) {
+            if let Some(cost) = outcome.completed() {
+                let n = self.bank.patterns[k].features.len();
+                let norm = cost / n.max(1) as f64;
+                if norm < best_norm || (norm == best_norm && k < best_k) {
+                    survivors.push((norm, k));
                 }
             }
-            survivors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(norm, k) in survivors.iter() {
-                if !(norm < best_norm || (norm == best_norm && k < best_k)) {
-                    continue;
-                }
-                if let Some((full_norm, range)) = self.align_candidate(k, dtw) {
-                    debug_assert!(full_norm == norm);
-                    (best_norm, best_k, best_range) = (full_norm, k, range);
-                }
+        }
+        survivors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for &(norm, k) in survivors.iter() {
+            if !(norm < best_norm || (norm == best_norm && k < best_k)) {
+                continue;
             }
-        } else {
-            for &k in remaining.iter() {
-                let pattern = &self.bank.patterns[k];
-                let n = pattern.features.len();
-                let abandon_above = Some(best_norm * n as f64);
-                let Some(cost) = dtw_segmented_cost_only(
-                    &pattern.features,
-                    self.measured_feat,
-                    penalty,
-                    band,
-                    abandon_above,
-                    dtw,
-                ) else {
-                    continue;
-                };
-                let normalised = cost / n.max(1) as f64;
-                if !(normalised < best_norm || (normalised == best_norm && k < best_k)) {
-                    continue;
-                }
-                if let Some((full_norm, range)) = self.align_candidate(k, dtw) {
-                    debug_assert!(full_norm == normalised);
-                    (best_norm, best_k, best_range) = (full_norm, k, range);
-                }
+            if let Some((full_norm, range)) = self.align_candidate(k, dtw) {
+                debug_assert!(full_norm == norm);
+                (best_norm, best_k, best_range) = (full_norm, k, range);
             }
         }
         Some((best_norm, best_k, best_range))
@@ -1228,6 +1037,28 @@ mod tests {
 
     fn wavelength() -> f64 {
         PhaseModel::ideal(920.625e6).wavelength()
+    }
+
+    #[test]
+    fn abandon_limit_never_cuts_a_candidate_that_ties_the_best() {
+        // `c / n * n` rounds below `c` for these costs, so a limit of
+        // `best_norm * n` would abandon a candidate whose normalised cost
+        // equals the best and that wins the tie on its smaller index.
+        for (c, n) in [(1.8807945204873528f64, 30usize), (26.92855499893484, 47)] {
+            let best_norm = c / n as f64;
+            assert!(best_norm * (n as f64) < c);
+            assert!(abandon_limit(best_norm, n) >= c);
+        }
+        // Soundness over a spread of costs and lengths.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let c = (x >> 11) as f64 / (1u64 << 53) as f64 * 50.0;
+            let n = 1 + (x % 97) as usize;
+            assert!(abandon_limit(c / n as f64, n) >= c, "c = {c}, n = {n}");
+        }
     }
 
     #[test]

@@ -1,25 +1,26 @@
-//! The exactness suite: a reusable, CI-enforced contract that the
-//! screened detection fast paths (`StppConfig::lockstep_screen`,
-//! `StppConfig::coarse_prealign`) are **bit-identical** to the exact
-//! sequential path — not merely close. Every prior speedup in this repo
-//! (banding, bank caching, worker pools) shipped with the same
-//! guarantee as ad-hoc assertions; this suite turns "fast path == exact
-//! path" into property tests over generated geometries and recordings,
-//! run for every switch combination and thread count.
+//! The exactness suite: a CI-enforced contract that the V-zone
+//! detector's candidate screen computes exactly the argmin the paper
+//! defines — the lowest normalised segmented-DTW cost over every
+//! acceptable hardware-offset candidate, ties to the smaller index — and
+//! not merely something close. The screen skips alignments it can prove
+//! lose (seeding, lockstep abandoning, hint-first trial order); this
+//! suite checks it against an exhaustive oracle that skips nothing
+//! (`support::oracle_argmin`), pins the lockstep kernel lane by lane to
+//! the path-recording kernel, and checks that the thread count never
+//! changes a result.
 //!
-//! The CI `exactness` job runs this suite once per fast-path combination
-//! (`STPP_EXACTNESS_LOCKSTEP` / `STPP_EXACTNESS_COARSE`) with
-//! `PROPTEST_CASES` bumped well above the local default.
+//! The CI `exactness` job runs this suite with `PROPTEST_CASES` bumped
+//! well above the local default.
 
 mod support;
 
 use proptest::prelude::*;
-use support::{arb_sweep, exact_config, fast_combos, proptest_cases, screened_config};
+use support::{arb_sweep, oracle_argmin, proptest_cases};
 
 use stpp_core::{
-    decimated_band, dtw_screen_lockstep, dtw_segmented_cost_only, BatchLocalizer, PhaseProfile,
-    ReferenceProfileParams, ScreenOutcome, SegmentFeatures, SegmentedProfile, StppConfig,
-    VZoneDetector,
+    dtw_screen_lockstep, dtw_segmented_features_into, BatchLocalizer, DetectScratch, DtwScratch,
+    PhaseProfile, ReferenceBankCache, ReferenceProfileParams, RelativeLocalizer, ScreenOutcome,
+    SegmentFeatures, SegmentedProfile, StppConfig, VZoneDetector,
 };
 
 /// Builds segment features straight from raw `(time, phase)` pairs.
@@ -30,84 +31,88 @@ fn features_of(pairs: &[(f64, f64)], window: usize) -> SegmentFeatures {
     ))
 }
 
+/// The path-recording kernel's subsequence cost, the reference every
+/// lockstep lane must reproduce.
+fn path_cost(
+    candidate: &SegmentFeatures,
+    measured: &SegmentFeatures,
+    penalty: f64,
+    limit: Option<f64>,
+    scratch: &mut DtwScratch,
+) -> Option<f64> {
+    dtw_segmented_features_into(candidate, measured, true, penalty, limit, scratch)
+}
+
 proptest! {
     #![proptest_config(proptest_cases(48))]
 
-    /// The headline contract: for any generated sweep, every fast-path
-    /// combination × thread count produces the **bit-identical**
-    /// end-to-end result (orderings, summaries, undetected set) of the
-    /// exact sequential path.
+    /// The headline contract: for any generated sweep, every detection
+    /// the screen produces carries the oracle's winning candidate and a
+    /// bit-identical match cost, and where no candidate is acceptable
+    /// the detector finds nothing. The tags run one after another
+    /// through one scratch, so the first detection is cold and the rest
+    /// lead with the previous winner.
     #[test]
-    fn screened_pipeline_is_bit_identical_to_exact_path(spec in arb_sweep()) {
+    fn screen_matches_exhaustive_argmin_oracle(spec in arb_sweep()) {
         let input = spec.input();
-        let base = spec.base_config();
-        let exact = BatchLocalizer::new(exact_config(base), 1).localize(&input);
-        for (lockstep, coarse) in fast_combos() {
-            let config = screened_config(base, lockstep, coarse);
-            for threads in [1usize, 2, 4] {
-                let fast = BatchLocalizer::new(config, threads).localize(&input);
-                prop_assert_eq!(
-                    &exact, &fast,
-                    "lockstep={} coarse={} threads={}", lockstep, coarse, threads
-                );
+        let detector = VZoneDetector::new(ReferenceProfileParams::new(
+            input.nominal_speed_mps,
+            input.perpendicular_distance_m.expect("synthetic sweeps carry a distance"),
+            input.wavelength_m,
+        ));
+        let cache = ReferenceBankCache::new();
+        let mut scratch = DetectScratch::new();
+        for obs in &input.observations {
+            let oracle = oracle_argmin(&detector, &obs.profile);
+            let detection = detector
+                .detect_cached(&obs.profile, &cache, &mut scratch)
+                .expect("synthetic profiles are well formed");
+            match (detection, oracle) {
+                (Some(detection), Some((k, cost))) => {
+                    prop_assert_eq!(detection.offset_index, Some(k), "tag {}", obs.id);
+                    prop_assert_eq!(
+                        detection.match_cost.map(f64::to_bits),
+                        Some(cost.to_bits()),
+                        "tag {}", obs.id
+                    );
+                }
+                (Some(detection), None) => {
+                    prop_assert!(
+                        false,
+                        "tag {}: detected candidate {:?} where the oracle accepts none",
+                        obs.id, detection.offset_index
+                    );
+                }
+                // The screen only picks the candidate; refinement and
+                // fitting may still reject the tag afterwards.
+                (None, _) => {}
             }
         }
     }
 
-    /// Per-tag argmin agreement: every screening strategy selects the
-    /// same winning offset candidate (`VZoneDetection::offset_index`)
-    /// and produces the identical detection — on a cold scratch (where
-    /// the coarse pre-alignment ranks the candidates) and on a warm one
-    /// (where the previous winner leads the trial order).
+    /// End-to-end determinism across thread counts: the batch engine on
+    /// 1, 2 and 4 threads (whatever mix of cold and hinted scratches its
+    /// work split produces) gives the sequential localizer's result, bit
+    /// for bit.
     #[test]
-    fn screened_detector_agrees_on_argmin_candidate(spec in arb_sweep()) {
+    fn pipeline_is_bit_identical_across_thread_counts(spec in arb_sweep()) {
         let input = spec.input();
-        let params = ReferenceProfileParams::new(
-            spec.speed,
-            input.perpendicular_distance_m.unwrap(),
-            support::WAVELENGTH_M,
-        );
-        let exact_detector =
-            VZoneDetector::new(params)
-                .with_dtw_band(spec.band)
-                .with_lockstep_screen(false)
-                .with_coarse_prealign(false);
-        for (lockstep, coarse) in fast_combos() {
-            let fast_detector = VZoneDetector::new(params)
-                .with_dtw_band(spec.band)
-                .with_lockstep_screen(lockstep)
-                .with_coarse_prealign(coarse);
-            // Fresh caches/scratches per strategy; the scratch warms up
-            // across the tag loop, so the first tag exercises the cold
-            // (ranking) path and the rest the warm (hinted) path.
-            let exact_cache = stpp_core::ReferenceBankCache::new();
-            let fast_cache = stpp_core::ReferenceBankCache::new();
-            let mut exact_scratch = stpp_core::DetectScratch::new();
-            let mut fast_scratch = stpp_core::DetectScratch::new();
-            for obs in &input.observations {
-                let expected =
-                    exact_detector.detect_cached(&obs.profile, &exact_cache, &mut exact_scratch);
-                let got =
-                    fast_detector.detect_cached(&obs.profile, &fast_cache, &mut fast_scratch);
-                prop_assert_eq!(
-                    &expected, &got,
-                    "tag {} lockstep={} coarse={}", obs.id, lockstep, coarse
-                );
-                if let Ok(Some(detection)) = got {
-                    prop_assert!(detection.offset_index.is_some());
-                }
-            }
+        let config = StppConfig::default();
+        let sequential = RelativeLocalizer::new(config).localize(&input);
+        for threads in [1usize, 2, 4] {
+            let batch = BatchLocalizer::new(config, threads).localize(&input);
+            prop_assert_eq!(&sequential, &batch, "threads={}", threads);
         }
     }
 
     /// Kernel contract: each lane of a lockstep screen behaves exactly
-    /// like a standalone cost-only alignment of the same candidate —
-    /// `Completed` costs are bit-identical, and a lane is `Abandoned`
-    /// or `Infeasible` precisely when the standalone screen returns
+    /// like a standalone path-recording alignment of the same candidate
+    /// — `Completed` costs are bit-identical, and a lane is `Abandoned`
+    /// or `Infeasible` precisely when the standalone alignment returns
     /// `None` under the same limit. Candidates include empty and
     /// single-sample profiles; no input may panic.
     #[test]
-    fn lockstep_lanes_match_standalone_cost_only(
+    fn lockstep_lanes_match_path_kernel(
         candidate_pairs in proptest::collection::vec(
             proptest::collection::vec((0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..40),
             0..7,
@@ -116,55 +121,47 @@ proptest! {
             (0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..60),
         window in 1usize..8,
         penalty in 0.0f64..2.0,
-        band_raw in 0usize..24,
         limit_scale in 0.0f64..3.0,
         use_limits in any::<bool>(),
     ) {
-        let band = if band_raw < 16 { Some(band_raw) } else { None };
         let candidates: Vec<SegmentFeatures> =
             candidate_pairs.iter().map(|p| features_of(p, window)).collect();
         let refs: Vec<&SegmentFeatures> = candidates.iter().collect();
         let measured = features_of(&measured_pairs, window);
         // Limits derived from each candidate's own exact cost so all
         // three outcomes (complete / abandon / infeasible) occur.
-        let mut check = stpp_core::DtwScratch::new();
+        let mut check = DtwScratch::new();
         let exact: Vec<Option<f64>> = candidates
             .iter()
-            .map(|c| dtw_segmented_cost_only(c, &measured, penalty, band, None, &mut check))
+            .map(|c| path_cost(c, &measured, penalty, None, &mut check))
             .collect();
-        let limits: Option<Vec<f64>> = use_limits.then(|| {
-            exact
-                .iter()
-                .map(|e| e.map(|c| c * limit_scale).unwrap_or(1.0))
-                .collect()
-        });
-        let mut scratch = stpp_core::DtwScratch::new();
+        let limits: Vec<f64> = exact
+            .iter()
+            .map(|e| match (use_limits, e) {
+                (true, Some(c)) => c * limit_scale,
+                (true, None) => 1.0,
+                (false, _) => f64::INFINITY,
+            })
+            .collect();
+        let mut scratch = DtwScratch::new();
         let mut out = Vec::new();
-        dtw_screen_lockstep(
-            &refs,
-            &measured,
-            penalty,
-            band,
-            limits.as_deref(),
-            false,
-            &mut scratch,
-            &mut out,
-        );
+        dtw_screen_lockstep(&refs, &measured, penalty, &limits, &mut scratch, &mut out);
         prop_assert_eq!(out.len(), candidates.len());
         for (k, outcome) in out.iter().enumerate() {
-            let limit = limits.as_ref().map(|l| l[k]);
+            let limit = limits[k];
             let standalone =
-                dtw_segmented_cost_only(&candidates[k], &measured, penalty, band, limit, &mut check);
+                path_cost(&candidates[k], &measured, penalty, Some(limit), &mut check);
             match *outcome {
                 ScreenOutcome::Completed(cost) => {
-                    prop_assert_eq!(standalone, Some(cost), "lane {}", k);
+                    prop_assert_eq!(
+                        standalone.map(f64::to_bits), Some(cost.to_bits()), "lane {}", k
+                    );
                 }
                 ScreenOutcome::Abandoned { lower_bound } => {
                     prop_assert_eq!(standalone, None, "lane {}", k);
                     // The pinned pruning guarantee: an abandoned lane's
                     // exact cost really does exceed its limit — no
                     // candidate is ever pruned below the exact best.
-                    let limit = limit.expect("abandon requires a limit");
                     prop_assert!(lower_bound > limit, "lane {}", k);
                     if let Some(exact_cost) = exact[k] {
                         prop_assert!(
@@ -182,54 +179,10 @@ proptest! {
         }
     }
 
-    /// The coarse-to-fine soundness invariant the pruning stage rests
-    /// on: a decimated (hull ranges, min durations) alignment with zero
-    /// gap penalty and the widened [`decimated_band`] is a lower bound
-    /// on the fine alignment's cost — and a coarse-infeasible candidate
-    /// is fine-infeasible too.
-    #[test]
-    fn coarse_decimated_cost_lower_bounds_fine_cost(
-        ref_pairs in proptest::collection::vec(
-            (0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..50),
-        mea_pairs in proptest::collection::vec(
-            (0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..70),
-        window in 1usize..8,
-        penalty in 0.0f64..2.0,
-        band_raw in 0usize..24,
-    ) {
-        let band = if band_raw < 16 { Some(band_raw) } else { None };
-        let fine_ref = features_of(&ref_pairs, window);
-        let fine_mea = features_of(&mea_pairs, window);
-        let coarse_ref = fine_ref.decimated();
-        let coarse_mea = fine_mea.decimated();
-        let mut scratch = stpp_core::DtwScratch::new();
-        let fine =
-            dtw_segmented_cost_only(&fine_ref, &fine_mea, penalty, band, None, &mut scratch);
-        let coarse = dtw_segmented_cost_only(
-            &coarse_ref,
-            &coarse_mea,
-            0.0,
-            decimated_band(band),
-            None,
-            &mut scratch,
-        );
-        if let Some(fine_cost) = fine {
-            let coarse_cost = coarse.expect("fine-feasible implies coarse-feasible");
-            // The slack mirrors the detector's pruning inflation: the
-            // bound holds exactly in real arithmetic; the two DPs sum
-            // their terms independently in f64.
-            prop_assert!(
-                coarse_cost <= fine_cost * (1.0 + 1e-9) + 1e-12,
-                "coarse {} > fine {}", coarse_cost, fine_cost
-            );
-        }
-    }
-
     /// Degenerate all-equal-cost candidates: identical lanes complete
-    /// with identical (bit-equal) costs, none abandons under a limit set
-    /// to exactly that cost, and the detector-level tie resolves to the
-    /// lowest candidate index (covered end-to-end above; pinned here at
-    /// the kernel level).
+    /// with the path kernel's cost, bit for bit, and none abandons under
+    /// a limit set to exactly that cost, so the detector-level tie can
+    /// resolve to the lowest candidate index.
     #[test]
     fn equal_cost_lanes_all_complete_under_their_own_cost(
         pairs in proptest::collection::vec(
@@ -240,10 +193,8 @@ proptest! {
     ) {
         let feat = features_of(&pairs, window);
         let measured = features_of(&pairs, window);
-        let mut scratch = stpp_core::DtwScratch::new();
-        let Some(cost) =
-            dtw_segmented_cost_only(&feat, &measured, penalty, None, None, &mut scratch)
-        else {
+        let mut scratch = DtwScratch::new();
+        let Some(cost) = path_cost(&feat, &measured, penalty, None, &mut scratch) else {
             return Ok(());
         };
         let refs: Vec<&SegmentFeatures> = (0..copies).map(|_| &feat).collect();
@@ -251,9 +202,7 @@ proptest! {
         // greater-than, so every identical lane must still complete.
         let limits = vec![cost; copies];
         let mut out = Vec::new();
-        dtw_screen_lockstep(
-            &refs, &measured, penalty, None, Some(&limits), false, &mut scratch, &mut out,
-        );
+        dtw_screen_lockstep(&refs, &measured, penalty, &limits, &mut scratch, &mut out);
         for (k, outcome) in out.iter().enumerate() {
             prop_assert_eq!(*outcome, ScreenOutcome::Completed(cost), "lane {}", k);
         }
@@ -262,18 +211,18 @@ proptest! {
 
 /// Empty edge cases must not panic and must report `Infeasible` lanes.
 #[test]
-fn lockstep_screen_handles_empty_inputs() {
-    let mut scratch = stpp_core::DtwScratch::new();
+fn lockstep_kernel_handles_empty_inputs() {
+    let mut scratch = DtwScratch::new();
     let mut out = Vec::new();
     let empty = SegmentFeatures::default();
     let nonempty = features_of(&[(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], 2);
 
     // No candidates at all.
-    dtw_screen_lockstep(&[], &nonempty, 0.5, None, None, false, &mut scratch, &mut out);
+    dtw_screen_lockstep(&[], &nonempty, 0.5, &[], &mut scratch, &mut out);
     assert!(out.is_empty());
 
     // Empty measured representation: every lane is infeasible.
-    dtw_screen_lockstep(&[&nonempty], &empty, 0.5, None, None, false, &mut scratch, &mut out);
+    dtw_screen_lockstep(&[&nonempty], &empty, 0.5, &[f64::INFINITY], &mut scratch, &mut out);
     assert_eq!(out, vec![ScreenOutcome::Infeasible]);
 
     // Empty and single-segment candidates mixed with a real one.
@@ -282,68 +231,11 @@ fn lockstep_screen_handles_empty_inputs() {
         &[&empty, &single, &nonempty],
         &nonempty,
         0.5,
-        None,
-        None,
-        false,
+        &[f64::INFINITY; 3],
         &mut scratch,
         &mut out,
     );
     assert_eq!(out[0], ScreenOutcome::Infeasible);
     assert!(matches!(out[1], ScreenOutcome::Completed(_)));
     assert!(matches!(out[2], ScreenOutcome::Completed(c) if c == 0.0));
-}
-
-/// The tightening mode really does tighten: with a racing bound, a lane
-/// that completes first can abandon a strictly worse lane that would
-/// complete on its own.
-#[test]
-fn tightening_bound_abandons_strictly_worse_lanes() {
-    let good: Vec<(f64, f64)> = (0..24).map(|i| (i as f64, 1.0 + 0.05 * i as f64)).collect();
-    let bad: Vec<(f64, f64)> = (0..24).map(|i| (i as f64, 5.5 - 0.05 * i as f64)).collect();
-    let measured = features_of(&good, 3);
-    let good_feat = features_of(&good, 3);
-    let bad_feat = features_of(&bad, 3);
-    let mut scratch = stpp_core::DtwScratch::new();
-    let mut out = Vec::new();
-    dtw_screen_lockstep(
-        &[&good_feat, &bad_feat],
-        &measured,
-        0.5,
-        None,
-        None,
-        true,
-        &mut scratch,
-        &mut out,
-    );
-    assert_eq!(out[0], ScreenOutcome::Completed(0.0));
-    assert!(
-        matches!(out[1], ScreenOutcome::Abandoned { lower_bound } if lower_bound > 0.0),
-        "worse lane should abandon against the tightened bound, got {:?}",
-        out[1]
-    );
-}
-
-/// A focussed end-to-end determinism check cheap enough to run outside
-/// the property harness: the default (screened) configuration matches
-/// the exact path on a small sweep for several thread counts. Guards the
-/// default config wiring itself, not just explicitly-toggled ones.
-#[test]
-fn default_config_matches_exact_path() {
-    let spec = support::SweepSpec {
-        tags: vec![(0.5, 0.3), (0.9, 0.33), (1.4, 0.28), (1.9, 0.36)],
-        mu: 1.2,
-        speed: 0.1,
-        dt: 0.05,
-        samples: 450,
-        noise: 0.05,
-        dropout: 3,
-        band: Some(10),
-    };
-    let input = spec.input();
-    let exact = BatchLocalizer::new(exact_config(spec.base_config()), 1).localize(&input);
-    let default_cfg = StppConfig { dtw_band: Some(10), ..StppConfig::default() };
-    assert!(default_cfg.lockstep_screen && default_cfg.coarse_prealign);
-    for threads in [1usize, 2, 4] {
-        assert_eq!(exact, BatchLocalizer::new(default_cfg, threads).localize(&input));
-    }
 }

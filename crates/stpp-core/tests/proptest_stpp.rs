@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use stpp_core::{
-    dtw_full, dtw_full_banded, dtw_segmented_banded, dtw_segmented_with_penalty, dtw_subsequence,
-    dtw_subsequence_banded, kendall_tau,
+    dtw_full, dtw_subsequence, kendall_tau,
     metrics::mean_rank_displacement,
     ordering::{gap_metric, order_metric},
     ordering_accuracy, BatchLocalizer, PhaseProfile, QuadraticFit, ReferenceProfile,
@@ -47,62 +46,6 @@ proptest! {
     }
 
     #[test]
-    fn banded_dtw_with_wide_band_equals_exact(a in arb_sequence(30), b in arb_sequence(30)) {
-        // A band of at least max(N, M) admits every cell (full mode) and
-        // every warp (subsequence mode): the banded alignment must return
-        // the identical cost AND path, bit for bit.
-        let band = Some(a.len().max(b.len()));
-        let full_exact = dtw_full(&a, &b).unwrap();
-        let full_banded = dtw_full_banded(&a, &b, band).unwrap();
-        prop_assert_eq!(&full_exact, &full_banded);
-        let sub_exact = dtw_subsequence(&a, &b).unwrap();
-        let sub_banded = dtw_subsequence_banded(&a, &b, band).unwrap();
-        prop_assert_eq!(&sub_exact, &sub_banded);
-    }
-
-    #[test]
-    fn banded_segmented_dtw_with_wide_band_equals_exact(
-        pairs_a in proptest::collection::vec((0.0f64..60.0, 0.0f64..std::f64::consts::TAU), 6..80),
-        pairs_b in proptest::collection::vec((0.0f64..60.0, 0.0f64..std::f64::consts::TAU), 6..80),
-        window in 2usize..8,
-        subsequence in any::<bool>(),
-        penalty in 0.0f64..2.0,
-    ) {
-        let sa = SegmentedProfile::build(&PhaseProfile::from_pairs(&pairs_a), window);
-        let sb = SegmentedProfile::build(&PhaseProfile::from_pairs(&pairs_b), window);
-        let band = Some(sa.len().max(sb.len()));
-        let exact = dtw_segmented_with_penalty(&sa, &sb, subsequence, penalty).unwrap();
-        let banded = dtw_segmented_banded(&sa, &sb, subsequence, penalty, band).unwrap();
-        prop_assert_eq!(exact, banded);
-    }
-
-    #[test]
-    fn cost_only_screen_is_bit_identical_to_full_alignment(
-        pairs_a in proptest::collection::vec((0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 6..60),
-        pairs_b in proptest::collection::vec((0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 6..60),
-        window in 2usize..8,
-        penalty in 0.0f64..2.0,
-        band_raw in 0usize..24,
-    ) {
-        // The detector's offset screen trusts the rolling cost-only
-        // kernel to return exactly the path-recording kernel's cost; the
-        // two recurrences are maintained by hand, so pin them together.
-        // (band_raw 20.. maps to the exact, unbanded algorithm.)
-        let band = if band_raw < 20 { Some(band_raw) } else { None };
-        let sa = SegmentedProfile::build(&PhaseProfile::from_pairs(&pairs_a), window);
-        let sb = SegmentedProfile::build(&PhaseProfile::from_pairs(&pairs_b), window);
-        let ra = stpp_core::SegmentFeatures::from_segmented(&sa);
-        let rb = stpp_core::SegmentFeatures::from_segmented(&sb);
-        let mut scratch = stpp_core::DtwScratch::new();
-        let full = stpp_core::dtw_segmented_features_into(
-            &ra, &rb, true, penalty, band, None, &mut scratch,
-        );
-        let screened =
-            stpp_core::dtw_segmented_cost_only(&ra, &rb, penalty, band, None, &mut scratch);
-        prop_assert_eq!(full, screened);
-    }
-
-    #[test]
     fn incremental_dtw_is_bit_identical_to_batch_at_every_prefix(
         ref_segs in proptest::collection::vec(
             (0.0f64..6.0, 0.0f64..1.5, 0.0f64..0.4), 1..12),
@@ -111,11 +54,11 @@ proptest! {
         penalty in 0.0f64..2.0,
     ) {
         // The streaming tracker trusts the append-only column-major
-        // kernel to reproduce the batch cost-only kernel exactly (band =
-        // None) after every single append; the two recurrences are
-        // maintained by hand, so pin them together bit for bit over raw
-        // segment triples (lo, span, duration — including sub-floor
-        // durations, exercising the shared 1e-3 floor).
+        // kernel to reproduce the row-major path-recording kernel exactly
+        // after every single append; the two fill orders are written
+        // separately, so pin them together bit for bit over raw segment
+        // triples (lo, span, duration — including sub-floor durations,
+        // exercising the shared 1e-3 floor).
         let features = |segs: &[(f64, f64, f64)]| {
             let mut f = stpp_core::SegmentFeatures::default();
             for &(lo, span, dur) in segs {
@@ -129,28 +72,10 @@ proptest! {
         for j in 1..=mea_segs.len() {
             let &(lo, span, dur) = &mea_segs[j - 1];
             let got = incremental.append(&reference, penalty, lo, lo + span, dur);
-            let batch = stpp_core::dtw_segmented_cost_only(
-                &reference, &features(&mea_segs[..j]), penalty, None, None, &mut scratch,
+            let batch = stpp_core::dtw_segmented_features_into(
+                &reference, &features(&mea_segs[..j]), true, penalty, None, &mut scratch,
             );
             prop_assert_eq!(batch.map(f64::to_bits), got.map(f64::to_bits), "prefix {}", j);
-        }
-    }
-
-    #[test]
-    fn narrow_banded_dtw_cost_never_beats_exact(
-        a in arb_sequence(25),
-        b in arb_sequence(25),
-        band in 0usize..6,
-    ) {
-        // Banding only removes warping freedom: when an in-band path
-        // exists its cost is bounded below by the exact optimum.
-        let exact = dtw_full(&a, &b).unwrap();
-        if let Some(banded) = dtw_full_banded(&a, &b, Some(band)) {
-            prop_assert!(banded.cost >= exact.cost - 1e-9);
-        }
-        let sub_exact = dtw_subsequence(&a, &b).unwrap();
-        if let Some(sub_banded) = dtw_subsequence_banded(&a, &b, Some(band)) {
-            prop_assert!(sub_banded.cost >= sub_exact.cost - 1e-9);
         }
     }
 

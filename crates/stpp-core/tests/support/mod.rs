@@ -1,11 +1,10 @@
 //! Shared test-support module for the stpp-core integration suites.
 //!
 //! The exactness and golden suites both need deterministic synthetic
-//! sweeps (geometries + recordings) and a common notion of "which
-//! screening configurations are under test"; keeping the generators here
-//! stops each suite from growing its own slightly-different copy — the
-//! point of a reusable equivalence harness is that the *same* inputs
-//! exercise every path.
+//! sweeps (geometries + recordings); keeping the generators here stops
+//! each suite from growing its own slightly-different copy. The module
+//! also holds the exhaustive-argmin oracle the candidate screen is
+//! checked against.
 //!
 //! Each integration-test binary compiles its own copy of this module and
 //! uses a different subset of it, hence the file-level `dead_code` allow.
@@ -13,47 +12,70 @@
 
 use proptest::prelude::*;
 use proptest::ProptestConfig;
-use stpp_core::{PhaseProfile, StppConfig, StppInput, TagObservations};
+use stpp_core::{
+    dtw_segmented_features_into, path_matched_range, DtwScratch, PhaseProfile, ReferenceBank,
+    ReferenceProfileParams, SegmentFeatures, SegmentedProfile, StppInput, TagObservations,
+    VZoneDetector,
+};
 
 /// Proptest configuration honouring the `PROPTEST_CASES` environment
-/// variable (the CI exactness matrix bumps it well above the local
-/// default; the vendored proptest does not read it on its own).
+/// variable (the CI exactness job bumps it well above the local default;
+/// the vendored proptest does not read it on its own).
 pub fn proptest_cases(default_cases: u32) -> ProptestConfig {
     let cases =
         std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases);
     ProptestConfig::with_cases(cases)
 }
 
-fn env_flag(name: &str) -> Option<bool> {
-    match std::env::var(name).ok()?.trim() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
+/// The V-zone detector's candidate choice by its definition (paper
+/// Section 3.1.2): build the reference bank at the detector's reference
+/// interval for `profile`, align every offset candidate with the
+/// path-recording kernel without abandoning, keep the candidates that
+/// pass the detector's acceptance filters (a non-empty V-zone matched
+/// range, and a matched span of at least 0.3 × the pattern duration),
+/// and return the one with the smallest normalised cost, ties to the
+/// smaller index, as `(offset_index, normalised cost)`. `None` when no
+/// candidate is acceptable.
+pub fn oracle_argmin(detector: &VZoneDetector, profile: &PhaseProfile) -> Option<(usize, f64)> {
+    let interval = detector.reference_interval(profile)?;
+    let params =
+        ReferenceProfileParams { sample_interval_s: interval, ..detector.reference_params };
+    let bank = ReferenceBank::build(params, detector.window, detector.offset_candidates)?;
+    let segmented = SegmentedProfile::build(profile, detector.window);
+    let measured = SegmentFeatures::from_segmented(&segmented);
+    let samples = profile.samples();
+    let mut scratch = DtwScratch::new();
+    let mut best: Option<(usize, f64)> = None;
+    for (k, pattern) in bank.patterns.iter().enumerate() {
+        let Some(cost) = dtw_segmented_features_into(
+            &pattern.features,
+            &measured,
+            true,
+            detector.gap_penalty_per_second,
+            None,
+            &mut scratch,
+        ) else {
+            continue;
+        };
+        let norm = cost / pattern.features.len().max(1) as f64;
+        let Some(matched) = path_matched_range(scratch.path(), pattern.vzone_segments.clone())
+        else {
+            continue;
+        };
+        let range = segmented.sample_range(matched);
+        if range.is_empty() {
+            continue;
+        }
+        let span =
+            samples[(range.end - 1).min(samples.len() - 1)].time_s - samples[range.start].time_s;
+        if span < 0.3 * pattern.duration_s {
+            continue;
+        }
+        if best.is_none_or(|(_, b)| norm < b) {
+            best = Some((k, norm));
+        }
     }
-}
-
-/// The `(lockstep_screen, coarse_prealign)` fast-path combinations under
-/// test. By default every non-baseline combination is exercised; the CI
-/// matrix pins a single one per job via `STPP_EXACTNESS_LOCKSTEP` /
-/// `STPP_EXACTNESS_COARSE` so a failure names the guilty switch.
-pub fn fast_combos() -> Vec<(bool, bool)> {
-    match (env_flag("STPP_EXACTNESS_LOCKSTEP"), env_flag("STPP_EXACTNESS_COARSE")) {
-        (Some(lockstep), Some(coarse)) => vec![(lockstep, coarse)],
-        (Some(lockstep), None) => vec![(lockstep, false), (lockstep, true)],
-        (None, Some(coarse)) => vec![(false, coarse), (true, coarse)],
-        (None, None) => vec![(true, false), (false, true), (true, true)],
-    }
-}
-
-/// The exact reference configuration: both screening switches off (the
-/// PR 2 sequential path) on top of `base`.
-pub fn exact_config(base: StppConfig) -> StppConfig {
-    StppConfig { lockstep_screen: false, coarse_prealign: false, ..base }
-}
-
-/// `base` with the given fast-path switches applied.
-pub fn screened_config(base: StppConfig, lockstep: bool, coarse: bool) -> StppConfig {
-    StppConfig { lockstep_screen: lockstep, coarse_prealign: coarse, ..base }
+    best
 }
 
 /// A deterministic synthetic sweep: one V-shaped phase profile per tag
@@ -75,8 +97,6 @@ pub struct SweepSpec {
     pub noise: f64,
     /// Drop every `dropout`-th sample (`0` = keep everything).
     pub dropout: usize,
-    /// Sakoe-Chiba band for the segmented DTW (`None` = exact).
-    pub band: Option<usize>,
 }
 
 /// The carrier wavelength every synthetic sweep uses, metres.
@@ -118,18 +138,11 @@ impl SweepSpec {
             ),
         }
     }
-
-    /// The `StppConfig` this sweep's band selects (screening switches
-    /// off; apply [`screened_config`] on top).
-    pub fn base_config(&self) -> StppConfig {
-        exact_config(StppConfig { dtw_band: self.band, ..StppConfig::default() })
-    }
 }
 
 /// Strategy over synthetic sweeps: 3–8 tags spread along the aisle, a
 /// shared hardware offset anywhere on the circle (including the 0/2π
-/// boundary region), mild noise, optional dropout, and either the exact
-/// or a banded alignment.
+/// boundary region), mild noise, and optional dropout.
 pub fn arb_sweep() -> impl Strategy<Value = SweepSpec> {
     (
         proptest::collection::vec((0.3f64..2.7, 0.26f64..0.40), 3..8),
@@ -137,9 +150,8 @@ pub fn arb_sweep() -> impl Strategy<Value = SweepSpec> {
         0.06f64..0.16,
         (0.03f64..0.07, 380usize..620),
         (0.0f64..0.25, 0usize..5),
-        0usize..24,
     )
-        .prop_map(|(tags, mu, speed, (dt, samples), (noise, dropout), band_raw)| SweepSpec {
+        .prop_map(|(tags, mu, speed, (dt, samples), (noise, dropout))| SweepSpec {
             tags,
             mu,
             speed,
@@ -148,6 +160,5 @@ pub fn arb_sweep() -> impl Strategy<Value = SweepSpec> {
             noise,
             // dropout 0/1 keep everything (i % 1 == 0 would drop all).
             dropout: if dropout < 2 { 0 } else { dropout },
-            band: if band_raw < 16 { None } else { Some(band_raw - 8) },
         })
 }

@@ -5,8 +5,15 @@ use stpp_baselines::StppScheme;
 use stpp_core::StppConfig;
 
 use crate::common::{
-    mean_accuracy, staggered_layout, ExperimentReport, NoScoredTrials, TrialConfig,
+    mean_accuracy, pct, staggered_layout, ExperimentReport, MeanAccuracy, NoScoredTrials,
+    TrialConfig,
 };
+
+/// One of the paper's claims checked against this run, as a markdown
+/// list item: `PASS` or `FAIL`, the claim, and what was measured.
+fn shape_check(holds: bool, claim: &str, measured: &str) -> String {
+    format!("- {} — paper: {claim}; measured: {measured}.", if holds { "PASS" } else { "FAIL" })
+}
 
 fn stpp_with_window(window: usize) -> StppScheme {
     StppScheme::with_config(StppConfig { window, ..StppConfig::default() })
@@ -47,6 +54,7 @@ fn spacing_report(
         vec!["spacing (cm)", "accuracy along X", "accuracy along Y"],
     );
     let scheme = StppScheme::new();
+    let mut measured = Vec::new();
     for (idx, spacing_cm) in [2.0f64, 4.0, 6.0, 8.0, 10.0].into_iter().enumerate() {
         let spacing = spacing_cm / 100.0;
         // Two rows of tags so both axes are exercised; row depth equals the
@@ -60,12 +68,44 @@ fn spacing_report(
             layout,
         )?;
         report.push_row(vec![format!("{spacing_cm:.0}"), acc.x_cell(), acc.y_cell()]);
+        measured.push((spacing_cm, acc));
     }
-    Ok(report.with_notes(
-        "Accuracy is poor at 2 cm spacing and rises steeply with spacing, reaching ~90 % along X \
-         by 8–10 cm — the shape of the paper's Figures 13/14 (Y is consistently below X)."
-            .to_string(),
-    ))
+    Ok(report.with_notes(spacing_notes(&measured)))
+}
+
+/// The notes of Figures 13/14, computed from the measured `(spacing cm,
+/// accuracy)` rows (ascending spacing): each of the paper's claims about
+/// the curves' shape with the values that confirm or refute it.
+fn spacing_notes(rows: &[(f64, MeanAccuracy)]) -> String {
+    let (Some((first_cm, first)), Some((last_cm, last))) = (rows.first(), rows.last()) else {
+        return String::new();
+    };
+    let wide: Vec<&(f64, MeanAccuracy)> = rows.iter().filter(|(cm, _)| *cm >= 8.0).collect();
+    let wide_x = wide.iter().map(|(_, a)| a.x).fold(f64::INFINITY, f64::min);
+    let wide_cells: Vec<String> =
+        wide.iter().map(|(cm, a)| format!("X {} at {cm:.0} cm", pct(a.x))).collect();
+    let y_below = rows.iter().all(|(_, a)| a.y.is_none_or(|y| y <= a.x));
+    let y_cells: Vec<String> = rows
+        .iter()
+        .map(|(cm, a)| {
+            let y = a.y.map_or_else(|| "n/a".to_string(), pct);
+            format!("{cm:.0} cm X {} / Y {y}", pct(a.x))
+        })
+        .collect();
+    [
+        shape_check(
+            last.x > first.x,
+            "accuracy along X rises with tag spacing",
+            &format!("X {} at {first_cm:.0} cm, {} at {last_cm:.0} cm", pct(first.x), pct(last.x)),
+        ),
+        shape_check(
+            !wide.is_empty() && wide_x >= 0.85,
+            "accuracy along X reaches ~90 % by 8–10 cm (checked as ≥ 85 %)",
+            &wide_cells.join(", "),
+        ),
+        shape_check(y_below, "accuracy along Y stays below X", &y_cells.join(", ")),
+    ]
+    .join("\n")
 }
 
 /// Figure 13: tag-to-tag distance vs ordering accuracy, tag-moving case.
@@ -100,12 +140,14 @@ pub fn table1_population(trials: &TrialConfig) -> Result<ExperimentReport, NoSco
     );
     let scheme = StppScheme::new();
     let populations = [5usize, 10, 15, 20, 25, 30];
+    let mut cases = Vec::new();
     for (case_idx, antenna_moving) in [(0usize, false), (1, true)] {
         let mut row_x = vec![
             if antenna_moving { "antenna moving" } else { "tag moving" }.to_string(),
             "X".to_string(),
         ];
         let mut row_y = vec![String::new(), "Y".to_string()];
+        let mut measured = Vec::new();
         for (p_idx, &n) in populations.iter().enumerate() {
             // Spacing drawn from the paper's 2–10 cm range; rows of up to 10
             // tags keep the Y span inside one phase period.
@@ -122,16 +164,58 @@ pub fn table1_population(trials: &TrialConfig) -> Result<ExperimentReport, NoSco
             )?;
             row_x.push(acc.x_cell());
             row_y.push(acc.y_cell());
+            measured.push(acc);
         }
         report.push_row(row_x);
         report.push_row(row_y);
+        cases.push(measured);
     }
-    Ok(report.with_notes(
-        "Accuracy degrades gradually as the population grows because the slotted-ALOHA read \
-         rate is shared across more tags (under-sampling); the tag-moving case stays above the \
-         antenna-moving case, as in the paper's Table 1."
-            .to_string(),
-    ))
+    Ok(report.with_notes(table1_notes(&populations, &cases[0], &cases[1])))
+}
+
+/// The notes of Table 1, computed from the measured accuracies of the
+/// tag-moving and antenna-moving cases (index-aligned with
+/// `populations`): each of the paper's claims with the values that
+/// confirm or refute it.
+fn table1_notes(
+    populations: &[usize],
+    tag_moving: &[MeanAccuracy],
+    antenna_moving: &[MeanAccuracy],
+) -> String {
+    let xs = |case: &[MeanAccuracy]| case.iter().map(|a| pct(a.x)).collect::<Vec<_>>().join("/");
+    let x_of = |a: Option<&MeanAccuracy>| a.map_or_else(|| "n/a".to_string(), |a| pct(a.x));
+    let tag_higher = tag_moving.iter().zip(antenna_moving).filter(|(t, a)| t.x >= a.x).count();
+    let falls = |case: &[MeanAccuracy]| match (case.first(), case.last()) {
+        (Some(first), Some(last)) => last.x <= first.x,
+        _ => false,
+    };
+    let (n_first, n_last) = (populations.first().unwrap_or(&0), populations.last().unwrap_or(&0));
+    [
+        shape_check(
+            !tag_moving.is_empty() && tag_higher == tag_moving.len(),
+            "the tag-moving case stays above the antenna-moving case",
+            &format!(
+                "tag-moving X is at or above antenna-moving X at {tag_higher} of {} populations \
+                 (tag moving {}, antenna moving {})",
+                tag_moving.len(),
+                xs(tag_moving),
+                xs(antenna_moving)
+            ),
+        ),
+        shape_check(
+            falls(tag_moving) && falls(antenna_moving),
+            "accuracy falls as the population grows (the slotted-ALOHA read rate is shared \
+             across more tags)",
+            &format!(
+                "X from n = {n_first} to n = {n_last}: tag moving {} → {}, antenna moving {} → {}",
+                x_of(tag_moving.first()),
+                x_of(tag_moving.last()),
+                x_of(antenna_moving.first()),
+                x_of(antenna_moving.last()),
+            ),
+        ),
+    ]
+    .join("\n")
 }
 
 #[cfg(test)]
@@ -147,6 +231,68 @@ mod tests {
         let r = fig12_window_size(&tiny_trials()).expect("scored");
         assert_eq!(r.rows.len(), 5);
         assert!(r.rows.iter().all(|row| row.len() == 3));
+    }
+
+    fn acc(x: f64, y: Option<f64>) -> MeanAccuracy {
+        MeanAccuracy { x, y, scored: 4, trials: 4 }
+    }
+
+    #[test]
+    fn spacing_notes_pass_when_the_curve_has_the_papers_shape() {
+        let rows: Vec<(f64, MeanAccuracy)> =
+            [(2.0, 0.3), (4.0, 0.5), (6.0, 0.7), (8.0, 0.9), (10.0, 0.95)]
+                .into_iter()
+                .map(|(cm, x)| (cm, acc(x, Some(x - 0.1))))
+                .collect();
+        let notes = spacing_notes(&rows);
+        assert_eq!(notes.lines().count(), 3, "{notes}");
+        assert!(notes.lines().all(|l| l.starts_with("- PASS")), "{notes}");
+        assert!(notes.contains("X 30.0% at 2 cm, 95.0% at 10 cm"), "{notes}");
+    }
+
+    #[test]
+    fn spacing_notes_fail_when_the_curve_contradicts_the_paper() {
+        // Close to the measured fig13 curve (X falls from 2 to 10 cm and
+        // stays far below 90 % at 8–10 cm), with Y above X at 4 cm.
+        let rows: Vec<(f64, MeanAccuracy)> = [
+            (2.0, 0.4, 0.2),
+            (4.0, 0.15, 0.3),
+            (6.0, 0.125, 0.1),
+            (8.0, 0.05, 0.0),
+            (10.0, 0.2, 0.1),
+        ]
+        .into_iter()
+        .map(|(cm, x, y)| (cm, acc(x, Some(y))))
+        .collect();
+        let notes = spacing_notes(&rows);
+        assert_eq!(notes.lines().count(), 3, "{notes}");
+        assert!(notes.lines().all(|l| l.starts_with("- FAIL")), "{notes}");
+        assert!(notes.contains("X 5.0% at 8 cm, X 20.0% at 10 cm"), "{notes}");
+    }
+
+    #[test]
+    fn table1_notes_report_which_case_is_higher() {
+        let populations = [5usize, 10, 15];
+        let high = [acc(0.9, None), acc(0.8, None), acc(0.7, None)];
+        let low = [acc(0.6, None), acc(0.5, None), acc(0.4, None)];
+        let pass = table1_notes(&populations, &high, &low);
+        assert!(pass.lines().all(|l| l.starts_with("- PASS")), "{pass}");
+        assert!(pass.contains("at 3 of 3 populations"), "{pass}");
+        // The shape this reproduction measures: antenna moving is higher
+        // at every population, while both cases still fall overall.
+        let tag = [acc(0.65, None), acc(0.95, None), acc(0.10, None)];
+        let antenna = [acc(1.0, None), acc(1.0, None), acc(0.80, None)];
+        let fail = table1_notes(&populations, &tag, &antenna);
+        let lines: Vec<&str> = fail.lines().collect();
+        assert!(lines[0].starts_with("- FAIL"), "{fail}");
+        assert!(lines[0].contains("at 0 of 3 populations"), "{fail}");
+        assert!(lines[1].starts_with("- PASS"), "{fail}");
+        let rising = [acc(0.1, None), acc(0.5, None), acc(0.9, None)];
+        assert!(table1_notes(&populations, &rising, &low)
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with("- FAIL"));
     }
 
     #[test]

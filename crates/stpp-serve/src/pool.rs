@@ -317,33 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_screened_detection_matches_exact_sequential_path() {
-        // The lockstep / coarse-to-fine screening state lives in each
-        // worker's long-lived scratch; whatever mix of cold (ranking)
-        // and warm (hinted) detections the claim interleaving produces,
-        // the assembled result must equal the exact sequential path with
-        // both switches off.
-        use stpp_core::StppConfig;
-        let input = synthetic_input(6);
-        let exact_cfg =
-            StppConfig { lockstep_screen: false, coarse_prealign: false, ..StppConfig::default() };
-        let screened_cfg =
-            StppConfig { lockstep_screen: true, coarse_prealign: true, ..StppConfig::default() };
-        let exact = RelativeLocalizer::new(exact_cfg).localize(&input).expect("exact");
-        let pool = WorkerPool::new(2);
-        for fanout in [1usize, 2, 4] {
-            let request = Arc::new(
-                RelativeLocalizer::new(screened_cfg)
-                    .prepare_shared(input.clone(), ReferenceBankCache::shared())
-                    .expect("prepare"),
-            );
-            let (per_tag, _) = pool.detect(&request, fanout);
-            let result = request.assemble(per_tag.expect("detect")).expect("assemble");
-            assert_eq!(result, exact, "fanout = {fanout}");
-        }
-    }
-
-    #[test]
     fn pool_reports_exact_bank_stats_per_request() {
         let input = synthetic_input(4);
         let pool = WorkerPool::new(2);

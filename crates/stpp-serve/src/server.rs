@@ -141,16 +141,17 @@ pub struct ServerConfig {
     /// [`Response::Redirect`] naming the owner — a misdirected request
     /// is bounced before admission instead of building cold banks here.
     pub shard: Option<crate::fleet::ShardIdentity>,
-    /// Wall-clock quiescence flushing for streaming sessions (async core
-    /// only; opt-in). When set, a session untouched for this long has
-    /// its quiescent tags flushed server-side from the reactor timer
-    /// wheel — so a portal whose report *stream* stalls still gets its
-    /// finished tags localized, even though the session's report-clock
-    /// never advances. Flush outcomes are counted in
+    /// Wall-clock quiescence flushing for streaming sessions (opt-in,
+    /// [`ServerCore::Async`] only: [`StppServer::bind`] rejects it on the
+    /// blocking core with [`std::io::ErrorKind::InvalidInput`]). When
+    /// set, a session untouched for this long has its quiescent tags
+    /// flushed server-side from the reactor timer wheel — so a portal
+    /// whose report *stream* stalls still gets its finished tags
+    /// localized, even though the session's report-clock never
+    /// advances. Flush outcomes are counted in
     /// [`ServerStats::wallclock_flushes`]; results surface through the
     /// warm service cache on the client's next flush. `None` (the
-    /// default) keeps flushing purely client-driven, matching the
-    /// blocking core exactly.
+    /// default) keeps flushing purely client-driven.
     pub wallclock_quiescence: Option<Duration>,
 }
 
@@ -407,11 +408,25 @@ impl ServerHandle {
 impl StppServer {
     /// Binds a listener and wires it to the service. `127.0.0.1:0` picks
     /// an ephemeral port (see [`local_addr`](Self::local_addr)).
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidInput`] when the configuration asks
+    /// for [`ServerConfig::wallclock_quiescence`] on the blocking core,
+    /// which does not implement it; otherwise any error of binding the
+    /// listener.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<LocalizationService>,
         config: ServerConfig,
     ) -> std::io::Result<StppServer> {
+        if config.wallclock_quiescence.is_some() && config.core != ServerCore::Async {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "ServerConfig::wallclock_quiescence needs ServerCore::Async: the blocking core \
+                 never flushes a stalled session",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         Ok(StppServer {
             listener,

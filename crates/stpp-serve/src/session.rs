@@ -178,8 +178,7 @@ impl StreamingState {
         .with_periods(stpp.reference_periods);
         let detector = VZoneDetector::new(params)
             .with_window(stpp.window)
-            .with_offset_candidates(stpp.offset_candidates)
-            .with_dtw_band(stpp.dtw_band);
+            .with_offset_candidates(stpp.offset_candidates);
         StreamingState {
             detector,
             cache: service.session_bank_cache(&geometry),

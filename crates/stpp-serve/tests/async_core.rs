@@ -262,6 +262,27 @@ fn connection_limit_rejects_with_a_typed_frame_on_both_cores() {
     }
 }
 
+/// Wall-clock quiescence is implemented by the async core only, so the
+/// blocking core refuses the setting at bind time instead of accepting
+/// it and never flushing.
+#[test]
+fn wallclock_quiescence_is_rejected_on_the_blocking_core() {
+    let config = ServerConfig {
+        core: ServerCore::Blocking,
+        wallclock_quiescence: Some(Duration::from_millis(50)),
+        ..ServerConfig::default()
+    };
+    let error = StppServer::bind("127.0.0.1:0", LocalizationService::with_defaults(), config)
+        .err()
+        .expect("the blocking core must reject wallclock_quiescence");
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(error.to_string().contains("wallclock_quiescence"), "{error}");
+    // Without the setting, the blocking core binds as before.
+    let config = ServerConfig { core: ServerCore::Blocking, ..ServerConfig::default() };
+    StppServer::bind("127.0.0.1:0", LocalizationService::with_defaults(), config)
+        .expect("plain blocking bind");
+}
+
 /// Async-core exclusive: a session whose report *stream* stalls still
 /// gets its quiescent tags flushed by wall clock, from the reactor's
 /// timer wheel — no client flush call involved.
