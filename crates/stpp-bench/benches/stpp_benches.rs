@@ -2,7 +2,8 @@
 //!
 //! Groups:
 //! * `dtw` — full vs segmented DTW for several window sizes `w`
-//!   (paper Section 3.1.2 / Figure 12 latency side).
+//!   (paper Section 3.1.2 / Figure 12 latency side), and the lockstep
+//!   candidate screen on its own.
 //! * `vzone` — V-zone detection per tag profile.
 //! * `ordering` — pivot vs pairwise Y ordering (Section 3.2.2).
 //! * `pipeline` — end-to-end localization for growing populations
@@ -14,10 +15,11 @@ use std::hint::black_box;
 
 use stpp_bench::{baseline, benchmark_recording};
 use stpp_core::{
-    dtw_full, dtw_segmented_into, dtw_segmented_with_penalty, ordering::OrderingEngine,
-    ordering::YOrderingStrategy, BatchLocalizer, DetectScratch, DtwScratch, PhaseProfile,
-    ReferenceBankCache, ReferenceProfile, ReferenceProfileParams, RelativeLocalizer,
-    SegmentedProfile, StppConfig, StppInput, TagObservations, VZoneDetector,
+    dtw_full, dtw_screen_lockstep, dtw_segmented_features_into, dtw_segmented_into,
+    dtw_segmented_with_penalty, ordering::OrderingEngine, ordering::YOrderingStrategy,
+    BatchLocalizer, DetectScratch, DtwScratch, PhaseProfile, ReferenceBank, ReferenceBankCache,
+    ReferenceProfile, ReferenceProfileParams, RelativeLocalizer, SegmentFeatures, SegmentedProfile,
+    StppConfig, StppInput, TagObservations, VZoneDetector,
 };
 
 fn measured_profile() -> PhaseProfile {
@@ -58,6 +60,50 @@ fn bench_dtw(c: &mut Criterion) {
         let ms = SegmentedProfile::build(&measured, 5);
         let mut scratch = DtwScratch::new();
         b.iter(|| black_box(dtw_segmented_into(&rs, &ms, true, 0.5, None, &mut scratch)))
+    });
+    group.bench_function("lockstep_screen", |b| {
+        // The detector's candidate screen alone, without the seed
+        // alignment, survivor re-alignment, refinement or fitting that
+        // `vzone/detect_cached` also times: the detection's winning
+        // candidate is the seed, and its normalised cost sets the abandon
+        // limits of the other candidates, as on a hinted detection.
+        let detector = VZoneDetector::new(ReferenceProfileParams::new(0.1, 0.35, 0.3256));
+        let interval = detector.reference_interval(&measured).expect("a sampled profile");
+        let params =
+            ReferenceProfileParams { sample_interval_s: interval, ..detector.reference_params };
+        let bank = ReferenceBank::build(params, detector.window, detector.offset_candidates)
+            .expect("a valid geometry");
+        let seed = detector
+            .detect(&measured)
+            .expect("a well-formed profile")
+            .and_then(|d| d.offset_index)
+            .expect("the profile has a V-zone");
+        let features =
+            SegmentFeatures::from_segmented(&SegmentedProfile::build(&measured, detector.window));
+        let penalty = detector.gap_penalty_per_second;
+        let mut scratch = DtwScratch::new();
+        let seed_features = &bank.patterns[seed].features;
+        let seed_norm = dtw_segmented_features_into(
+            seed_features,
+            &features,
+            true,
+            penalty,
+            None,
+            &mut scratch,
+        )
+        .expect("the seed aligns")
+            / seed_features.len() as f64;
+        let others: Vec<&SegmentFeatures> = (0..bank.patterns.len())
+            .filter(|&k| k != seed)
+            .map(|k| &bank.patterns[k].features)
+            .collect();
+        let limits: Vec<f64> =
+            others.iter().map(|f| seed_norm.next_up() * f.len() as f64).collect();
+        let mut out = Vec::new();
+        b.iter(|| {
+            dtw_screen_lockstep(&others, &features, penalty, &limits, &mut scratch, &mut out);
+            black_box(out.len())
+        })
     });
     group.finish();
 }

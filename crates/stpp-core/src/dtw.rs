@@ -18,23 +18,30 @@
 //!
 //! ## One recurrence, three kernels
 //!
-//! One row update (`advance_row`) holds the recurrence: each cell adds
+//! One row update (`advance_rows`) holds the recurrence: each cell adds
 //! its local cost to the cheapest of its diagonal, upper and left
-//! neighbours, preferring them in that order on ties. Two kernels walk
-//! the table row by row through it:
+//! neighbours, preferring them in that order on ties. It advances one
+//! table or, for a fixed number of independent tables, all of them in
+//! one pass over the measured columns. Two kernels walk the table row by
+//! row through it:
 //!
 //! * the **path-recording kernel** behind every alignment function
 //!   stores a move tag per cell, so the warping path can be traced back;
 //! * the **lockstep screen** [`dtw_screen_lockstep`] advances many
 //!   candidate references against one measured representation with two
-//!   rolling rows each and no move tags, abandoning a candidate once it
-//!   cannot finish under its limit.
+//!   rolling rows each and no move tags, two lanes per pass, abandoning a
+//!   candidate once it cannot finish under its limit.
 //!
 //! Because both kernels call the same row update, a cost the lockstep
 //! screen completes is bit-identical to the path-recording kernel's cost
 //! for the same candidate. [`IncrementalDtwCost`] fills the same table
 //! column by column for streaming callers, with the same cell cost and
 //! neighbour preference.
+//!
+//! The segmented kernels require finite segment features: phase bounds
+//! and durations that are neither NaN nor infinite. Detection validates
+//! its profiles first and the streaming tracker drops non-finite
+//! samples, so every production input meets this.
 //!
 //! All DP state lives in a caller-owned [`DtwScratch`], so repeated
 //! alignments — the 8 offset candidates × hundreds of tags of the
@@ -152,7 +159,8 @@ pub struct DtwScratch {
     /// so each lane's row advance streams through contiguous memory while
     /// the measured-side feature arrays stay hot across all lanes.
     lockstep: Vec<f64>,
-    /// Indices of the lockstep lanes still running.
+    /// Indices of the lockstep lanes still running, in ascending order:
+    /// the screen's worklist, advanced two lanes at a time.
     live: Vec<usize>,
 }
 
@@ -183,18 +191,22 @@ impl SegmentFeatures {
         self.hi.clear();
         self.dur.clear();
         for s in segmented.segments() {
-            self.lo.push(s.min_phase);
-            self.hi.push(s.max_phase);
-            self.dur.push(s.time_interval().max(1e-3));
+            self.push(s.min_phase, s.max_phase, s.time_interval());
         }
     }
 
     /// Appends one segment given its phase range `[lo, hi]` and raw time
-    /// interval, applying the same `1e-3` duration floor as
-    /// [`refill`](Self::refill). This is the raw-triple entry streaming
-    /// callers (and property tests) use to grow a representation segment
-    /// by segment.
+    /// interval, applying the `1e-3` duration floor every representation
+    /// gets. This is the raw-triple entry streaming callers (and property
+    /// tests) use to grow a representation segment by segment.
+    ///
+    /// All three values must be finite (checked in debug builds): the
+    /// segment cost is written with compare-selects that assume no NaN.
     pub fn push(&mut self, lo: f64, hi: f64, interval_s: f64) {
+        debug_assert!(
+            lo.is_finite() && hi.is_finite() && interval_s.is_finite(),
+            "non-finite segment ({lo}, {hi}, {interval_s})"
+        );
         self.lo.push(lo);
         self.hi.push(hi);
         self.dur.push(interval_s.max(1e-3));
@@ -213,13 +225,22 @@ impl SegmentFeatures {
 
 /// The local cost of pairing a reference segment with a measured one:
 /// the gap between their phase ranges weighted by the shorter of the two
-/// durations (Section 3.1.2). The gap is written branch-free — at most
-/// one of the two differences is positive because `lo ≤ hi` on both
-/// sides — so the compiler can vectorise it.
+/// durations (Section 3.1.2). The gap is the larger of the two signed
+/// distances between the ranges, floored at zero (overlapping ranges
+/// cost nothing).
+///
+/// Every DP cell evaluates this, so it is written with compare-selects,
+/// which lower to single `maxsd`/`minsd` instructions on x86-64;
+/// `f64::max`/`f64::min` add NaN handling around each. Inputs are finite
+/// (see [`SegmentFeatures::push`]), where the two forms agree bit for
+/// bit except that a zero gap here is always `+0.0`.
 #[inline(always)]
 fn segment_cost(r_lo: f64, r_hi: f64, r_dur: f64, m_lo: f64, m_hi: f64, m_dur: f64) -> f64 {
-    let gap = (r_lo - m_hi).max(m_lo - r_hi).max(0.0);
-    r_dur.min(m_dur) * gap
+    let (below, above) = (r_lo - m_hi, m_lo - r_hi);
+    let gap = if below > above { below } else { above };
+    let gap = if gap > 0.0 { gap } else { 0.0 };
+    let dur = if r_dur < m_dur { r_dur } else { m_dur };
+    dur * gap
 }
 
 /// The local costs of reference segment `i` against every measured
@@ -236,60 +257,72 @@ fn segment_row_costs<'a>(
     move |j| segment_cost(r_lo, r_hi, r_dur, m_lo[j], m_hi[j], m_dur[j])
 }
 
-/// Advances the DP table by one row: fills `cur` from the row above,
-/// `prev`, and returns the row minimum.
+/// Advances `N` independent DP tables by one row each: fills `cur[l]`
+/// from the row above, `prev[l]`, and returns each row's minimum.
 ///
-/// Cell `j` adds `cost(j)` to the cheapest of its diagonal neighbour
-/// `prev[j − 1]`, its upper neighbour `prev[j] + up_penalty` and its left
-/// neighbour `cur[j − 1] + left_penalty(j)`; ties prefer diagonal, then
-/// up (the seed's order). Column 0 has only its upper neighbour. When
-/// `moves` is given, the chosen neighbour of each cell is recorded there
-/// for the traceback. Every row-major kernel advances through this one
-/// function, so their costs agree bit for bit.
+/// Cell `j` adds `cost[l](j)` to the cheapest of its diagonal neighbour
+/// `prev[l][j − 1]`, its upper neighbour `prev[l][j] + up_penalty[l]` and
+/// its left neighbour `cur[l][j − 1] + left_penalty(j)`; ties prefer
+/// diagonal, then up (the seed's order). Column 0 has only its upper
+/// neighbour. When `moves[l]` is given, the chosen neighbour of each cell
+/// is recorded there for the traceback. All tables share the measured
+/// columns (`left_penalty`), and table `l`'s values depend on nothing
+/// else of the others: each row is one serial recurrence (a cell's left
+/// neighbour is the cell just computed), so walking `N > 1` tables in one
+/// pass overlaps their recurrences without changing any value. Every
+/// row-major kernel advances through this one function, so their costs
+/// agree bit for bit.
 #[inline(always)]
-fn advance_row<C, L>(
-    prev: &[f64],
-    cur: &mut [f64],
-    moves: Option<&mut [u8]>,
-    up_penalty: f64,
-    cost: C,
+fn advance_rows<const N: usize, C, L>(
+    prev: [&[f64]; N],
+    cur: [&mut [f64]; N],
+    moves: [Option<&mut [u8]>; N],
+    up_penalty: [f64; N],
+    cost: [C; N],
     left_penalty: L,
-) -> f64
+) -> [f64; N]
 where
     C: Fn(usize) -> f64,
     L: Fn(usize) -> f64,
 {
-    let m = cur.len();
-    let prev = &prev[..m];
-    let mut moves = moves.map(|mv| &mut mv[..m]);
-    let mut left = cost(0) + (prev[0] + up_penalty);
-    cur[0] = left;
-    if let Some(mv) = moves.as_deref_mut() {
-        mv[0] = MOVE_UP;
+    let m = cur[0].len();
+    let prev = prev.map(|p| &p[..m]);
+    let cur = cur.map(|c| &mut c[..m]);
+    let mut moves = moves.map(|mv| mv.map(|mv| &mut mv[..m]));
+    let mut left = [0.0; N];
+    for l in 0..N {
+        left[l] = cost[l](0) + (prev[l][0] + up_penalty[l]);
+        cur[l][0] = left[l];
+        if let Some(mv) = moves[l].as_deref_mut() {
+            mv[0] = MOVE_UP;
+        }
     }
     let mut row_min = left;
     for j in 1..m {
-        let diag = prev[j - 1];
-        let up = prev[j] + up_penalty;
-        let left_cost = left + left_penalty(j);
-        let mut best = diag;
-        let mut tag = MOVE_DIAG;
-        if up < best {
-            best = up;
-            tag = MOVE_UP;
-        }
-        if left_cost < best {
-            best = left_cost;
-            tag = MOVE_LEFT;
-        }
-        let v = cost(j) + best;
-        cur[j] = v;
-        if let Some(mv) = moves.as_deref_mut() {
-            mv[j] = tag;
-        }
-        left = v;
-        if v < row_min {
-            row_min = v;
+        let left_step = left_penalty(j);
+        for l in 0..N {
+            let diag = prev[l][j - 1];
+            let up = prev[l][j] + up_penalty[l];
+            let left_cost = left[l] + left_step;
+            let mut best = diag;
+            let mut tag = MOVE_DIAG;
+            if up < best {
+                best = up;
+                tag = MOVE_UP;
+            }
+            if left_cost < best {
+                best = left_cost;
+                tag = MOVE_LEFT;
+            }
+            let v = cost[l](j) + best;
+            cur[l][j] = v;
+            if let Some(mv) = moves[l].as_deref_mut() {
+                mv[j] = tag;
+            }
+            left[l] = v;
+            if v < row_min[l] {
+                row_min[l] = v;
+            }
         }
     }
     row_min
@@ -363,12 +396,12 @@ where
     }
     for i in 1..n {
         let (done, rest) = acc.split_at_mut(i * m);
-        let row_min = advance_row(
-            &done[(i - 1) * m..],
-            &mut rest[..m],
-            Some(&mut moves[i * m..(i + 1) * m]),
-            up_penalty(i),
-            row_costs(i),
+        let [row_min] = advance_rows(
+            [&done[(i - 1) * m..]],
+            [&mut rest[..m]],
+            [Some(&mut moves[i * m..(i + 1) * m])],
+            [up_penalty(i)],
+            [row_costs(i)],
             &left_penalty,
         );
         // Costs and penalties are non-negative, so the best cell of this
@@ -509,7 +542,8 @@ pub fn dtw_segmented_with_penalty(
 
 /// The zero-alloc segmented DTW entry point: writes all DP state and the
 /// warping path into `scratch` (read it back via [`DtwScratch::path`])
-/// and returns only the cost.
+/// and returns only the cost. Segment phases and durations must be
+/// finite (see [`SegmentFeatures::push`]).
 ///
 /// `abandon_above` enables early abandoning: when every path prefix
 /// already costs more than the given bound, the alignment is cut off and
@@ -544,7 +578,8 @@ pub fn dtw_segmented_into(
 /// innermost hot-path entry: no per-call feature extraction at all. The
 /// reference features come straight from the detector's reference bank
 /// and the measured features are built once per tag, so the 8 offset
-/// alignments of one tag share both.
+/// alignments of one tag share both. Features must be finite (see
+/// [`SegmentFeatures::push`]).
 pub fn dtw_segmented_features_into(
     reference: &SegmentFeatures,
     measured: &SegmentFeatures,
@@ -640,7 +675,8 @@ impl IncrementalDtwCost {
     ///
     /// `reference` must be the same representation on every append of one
     /// stream (checked by length in debug builds); `reset` before
-    /// switching references.
+    /// switching references. The segment's values must be finite (checked
+    /// in debug builds), as for [`SegmentFeatures::push`].
     pub fn append(
         &mut self,
         reference: &SegmentFeatures,
@@ -653,6 +689,10 @@ impl IncrementalDtwCost {
         if n == 0 {
             return None;
         }
+        debug_assert!(
+            m_lo.is_finite() && m_hi.is_finite() && m_interval_s.is_finite(),
+            "non-finite segment ({m_lo}, {m_hi}, {m_interval_s})"
+        );
         let penalty = gap_penalty_per_second.max(0.0);
         let m_dur = m_interval_s.max(1e-3);
         let cell = |i: usize| -> f64 {
@@ -682,7 +722,7 @@ impl IncrementalDtwCost {
                 let left = self.col[i];
                 let up = above + penalty * reference.dur[i];
                 let left_cost = left + pl;
-                // Same preference order as `advance_row`: diagonal, then
+                // Same preference order as `advance_rows`: diagonal, then
                 // up, then left (ties keep the earlier move).
                 let mut best = diag;
                 if up < best {
@@ -762,6 +802,16 @@ fn finish_lane(row: &[f64], limit: f64) -> ScreenOutcome {
 /// stay cache-hot across all candidates instead of being re-streamed per
 /// candidate.
 ///
+/// The live lanes advance **in pairs**: consecutive lanes of the
+/// ascending worklist share one pass over the measured columns, and an
+/// odd lane left over advances alone. A lane's row is one serial
+/// recurrence (each cell waits for the cell to its left), so a pair keeps
+/// two independent recurrences in flight where one lane alone would leave
+/// the core waiting on each cell. The worklist is compacted after every
+/// row, so lanes that finish or abandon drop out and the rest regroup.
+/// Pairing changes no value: each lane's cells are computed by the same
+/// row update, in the same order, as when it advances alone.
+///
 /// Each lane advances through the same row update as the path-recording
 /// kernel, so a `Completed` cost is bit-identical to
 /// [`dtw_segmented_features_into`] (subsequence mode) for the same
@@ -770,7 +820,8 @@ fn finish_lane(row: &[f64], limit: f64) -> ScreenOutcome {
 /// from one row to the next (every path through row `i` passed row
 /// `i − 1`), so a lane whose *first* row minimum already exceeds its
 /// limit is abandoned at once. Pass `f64::INFINITY` for a candidate that
-/// must not abandon.
+/// must not abandon. Features must be finite (see
+/// [`SegmentFeatures::push`]).
 ///
 /// `out` is cleared and refilled with one [`ScreenOutcome`] per
 /// candidate, index-aligned with `candidates`.
@@ -826,33 +877,92 @@ pub fn dtw_screen_lockstep(
         }
     }
 
-    // Advance every live lane one row per round. Row `i` of a lane lives
-    // in the half `i % 2` of its arena.
+    // Advance every live lane one row per round, two lanes per pass over
+    // the measured columns; an odd lane left over advances alone. `live`
+    // stays in ascending lane order: each round compacts it in place, so
+    // the pairs regroup as lanes finish.
     let mut i = 1usize;
     while !live.is_empty() {
-        live.retain(|&k| {
-            let cand = candidates[k];
-            let (half_a, half_b) = lockstep[2 * k * m..2 * k * m + 2 * m].split_at_mut(m);
-            let (prev, cur) = if i % 2 == 1 { (half_a, half_b) } else { (half_b, half_a) };
-            let row_min = advance_row(
-                prev,
-                cur,
-                None,
-                penalty * cand.dur[i],
-                segment_row_costs(cand, i, measured),
+        let mut kept = 0;
+        let mut p = 0;
+        while p + 1 < live.len() {
+            let (a, b) = (live[p], live[p + 1]);
+            let (head, tail) = lockstep.split_at_mut(2 * b * m);
+            let (prev_a, cur_a) = lane_rows(&mut head[2 * a * m..], m, i);
+            let (prev_b, cur_b) = lane_rows(tail, m, i);
+            let [min_a, min_b] = advance_rows(
+                [prev_a, prev_b],
+                [&mut *cur_a, &mut *cur_b],
+                [None, None],
+                [penalty * candidates[a].dur[i], penalty * candidates[b].dur[i]],
+                [
+                    segment_row_costs(candidates[a], i, measured),
+                    segment_row_costs(candidates[b], i, measured),
+                ],
                 left_penalty,
             );
-            if row_min > limits[k] {
-                out[k] = ScreenOutcome::Abandoned { lower_bound: row_min };
-                false
-            } else if i + 1 == cand.len() {
-                out[k] = finish_lane(cur, limits[k]);
-                false
-            } else {
-                true
+            for (k, row_min, cur) in [(a, min_a, &*cur_a), (b, min_b, &*cur_b)] {
+                if lane_runs_on(row_min, cur, limits[k], i + 1 == candidates[k].len(), &mut out[k])
+                {
+                    live[kept] = k;
+                    kept += 1;
+                }
             }
-        });
+            p += 2;
+        }
+        if p < live.len() {
+            let k = live[p];
+            let (prev, cur) = lane_rows(&mut lockstep[2 * k * m..], m, i);
+            let [row_min] = advance_rows(
+                [prev],
+                [&mut *cur],
+                [None],
+                [penalty * candidates[k].dur[i]],
+                [segment_row_costs(candidates[k], i, measured)],
+                left_penalty,
+            );
+            if lane_runs_on(row_min, cur, limits[k], i + 1 == candidates[k].len(), &mut out[k]) {
+                live[kept] = k;
+                kept += 1;
+            }
+        }
+        live.truncate(kept);
         i += 1;
+    }
+}
+
+/// The rows of a lane's two-row arena (the front `2m` values of `arena`)
+/// when it advances to row `i`: `(prev, cur)`, row `i` living in the half
+/// `i % 2`.
+#[inline(always)]
+fn lane_rows(arena: &mut [f64], m: usize, i: usize) -> (&[f64], &mut [f64]) {
+    let (half_a, half_b) = arena[..2 * m].split_at_mut(m);
+    if i % 2 == 1 {
+        (half_a, half_b)
+    } else {
+        (half_b, half_a)
+    }
+}
+
+/// Settles a lane after a row `cur` with minimum `row_min`: records the
+/// abandon, or the finished lane's outcome on its `last_row`, in `out`;
+/// returns `true` when the lane runs on.
+#[inline(always)]
+fn lane_runs_on(
+    row_min: f64,
+    cur: &[f64],
+    limit: f64,
+    last_row: bool,
+    out: &mut ScreenOutcome,
+) -> bool {
+    if row_min > limit {
+        *out = ScreenOutcome::Abandoned { lower_bound: row_min };
+        false
+    } else if last_row {
+        *out = finish_lane(cur, limit);
+        false
+    } else {
+        true
     }
 }
 
@@ -868,6 +978,53 @@ mod tests {
             let step = (w[1].0 - w[0].0) + (w[1].1 - w[0].1);
             assert!((1..=2).contains(&step), "invalid step {:?} -> {:?}", w[0], w[1]);
         }
+    }
+
+    /// The compare-select segment cost equals the `f64::max`/`f64::min`
+    /// form it replaced on finite operands, bit for bit, except that a
+    /// zero gap is always `+0.0` (the old form could return `−0.0`).
+    #[test]
+    fn segment_cost_matches_the_max_min_form_on_finite_operands() {
+        let old = |r_lo: f64, r_hi: f64, r_dur: f64, m_lo: f64, m_hi: f64, m_dur: f64| {
+            (r_lo - m_hi).max(m_lo - r_hi).max(0.0) * r_dur.min(m_dur)
+        };
+        // Signed zeros, equal, touching, overlapping and nested ranges,
+        // tiny and large magnitudes.
+        let bounds = [-0.0, 0.0, 1e-300, -1e-300, 0.5, 1.0, -1.0, 2.0, 3.0, std::f64::consts::TAU];
+        let durations = [1e-3, 0.02, 0.02, 0.5, 1e6];
+        let mut checked = 0usize;
+        for &r_lo in &bounds {
+            for &r_hi in &bounds {
+                for &m_lo in &bounds {
+                    for &m_hi in &bounds {
+                        for (&r_dur, &m_dur) in durations.iter().zip(durations.iter().rev()) {
+                            let want = old(r_lo, r_hi, r_dur, m_lo, m_hi, m_dur);
+                            let got = segment_cost(r_lo, r_hi, r_dur, m_lo, m_hi, m_dur);
+                            assert_ne!(got.to_bits(), (-0.0f64).to_bits());
+                            if want == 0.0 {
+                                assert_eq!(got.to_bits(), 0.0f64.to_bits());
+                            } else {
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "r [{r_lo}, {r_hi}] x {r_dur}, m [{m_lo}, {m_hi}] x {m_dur}"
+                                );
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, bounds.len().pow(4) * durations.len());
+        // The named cases, spelled out: equal and touching ranges cost
+        // nothing, a nested range costs nothing, disjoint ranges pay the
+        // gap times the shorter duration.
+        assert_eq!(segment_cost(1.0, 2.0, 0.1, 1.0, 2.0, 0.2), 0.0);
+        assert_eq!(segment_cost(1.0, 2.0, 0.1, 2.0, 3.0, 0.2), 0.0);
+        assert_eq!(segment_cost(0.0, 3.0, 0.1, 1.0, 2.0, 0.2), 0.0);
+        assert_eq!(segment_cost(3.0, 4.0, 0.5, 1.0, 2.0, 0.25), 0.25);
+        assert_eq!(segment_cost(1.0, 2.0, 0.25, 3.0, 4.0, 0.5), 0.25);
     }
 
     #[test]

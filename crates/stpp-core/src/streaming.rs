@@ -195,11 +195,13 @@ impl StreamingTagTracker {
     /// resolving the reference bank on first use. Called lazily — at poll
     /// time, not per sample — so ingestion stays O(1) per report.
     ///
-    /// The bank interval is estimated once, from the first
-    /// `min_samples`-sized prefix; the batch path re-estimates it from
-    /// the complete profile. Both quantise onto the same coarse grid, so
-    /// they agree in all but pathological cases — and a disagreement only
-    /// shifts the *provisional* candidate costs, never the final result.
+    /// The bank interval is estimated once, from the whole prefix seen at
+    /// the first call with at least `min_samples` samples (however many
+    /// samples arrived before that poll); the batch path re-estimates it
+    /// from the complete profile. Both quantise onto the same coarse
+    /// grid, so they agree in all but pathological cases — and a
+    /// disagreement only shifts the *provisional* candidate costs, never
+    /// the final result.
     pub fn update(&mut self, cache: &ReferenceBankCache) {
         if self.pairs.len() < self.detector.min_samples.max(2)
             || self.pairs.len() == self.samples_at_last_update

@@ -110,12 +110,14 @@ proptest! {
     /// — `Completed` costs are bit-identical, and a lane is `Abandoned`
     /// or `Infeasible` precisely when the standalone alignment returns
     /// `None` under the same limit. Candidates include empty and
-    /// single-sample profiles; no input may panic.
+    /// single-sample profiles; no input may panic. Up to 9 candidates,
+    /// so both odd and even lane counts around the production screen's 7
+    /// are paired.
     #[test]
     fn lockstep_lanes_match_path_kernel(
         candidate_pairs in proptest::collection::vec(
             proptest::collection::vec((0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..40),
-            0..7,
+            0..=9,
         ),
         measured_pairs in proptest::collection::vec(
             (0.0f64..40.0, 0.0f64..std::f64::consts::TAU), 0..60),
@@ -206,6 +208,78 @@ proptest! {
         for (k, outcome) in out.iter().enumerate() {
             prop_assert_eq!(*outcome, ScreenOutcome::Completed(cost), "lane {}", k);
         }
+    }
+}
+
+/// Features grown segment by segment from raw `(lo, hi, interval)`
+/// triples.
+fn features_from(segments: &[(f64, f64, f64)]) -> SegmentFeatures {
+    let mut f = SegmentFeatures::default();
+    for &(lo, hi, interval) in segments {
+        f.push(lo, hi, interval);
+    }
+    f
+}
+
+/// Seven lanes that leave the screen on different rows — four complete
+/// at their last rows, three abandon mid-table — so the live list
+/// shrinks to odd lengths and the lane pairs regroup around a leftover
+/// lane several times. Every lane must still match the path kernel: a
+/// completed cost bit for bit, and an abandon on exactly the row whose
+/// minimum first exceeds the limit (its lower bound is that row's
+/// minimum, the subsequence cost of the candidate prefix ending there).
+#[test]
+fn lockstep_lanes_regroup_as_lanes_leave_on_different_rows() {
+    let measured: Vec<(f64, f64, f64)> = (0..23)
+        .map(|j| {
+            let lo = 1.0 + 0.5 * (j as f64 * 0.7).sin();
+            (lo, lo + 0.3, 0.04 + 0.01 * (j % 3) as f64)
+        })
+        .collect();
+    let measured = features_from(&measured);
+    // (segments, abandon row): the phase ranges sit above every measured
+    // range, so each cell costs something and row minima strictly rise.
+    let lanes: [(usize, Option<usize>); 7] =
+        [(4, None), (9, Some(2)), (6, None), (9, Some(6)), (3, None), (10, Some(8)), (10, None)];
+    let penalty = 0.5;
+    let mut scratch = DtwScratch::new();
+    let mut candidates = Vec::new();
+    let mut limits = Vec::new();
+    let mut prefix_costs = Vec::new();
+    for (k, &(len, abandon_row)) in lanes.iter().enumerate() {
+        let segments: Vec<(f64, f64, f64)> = (0..len)
+            .map(|i| {
+                let lo = 3.0 + 0.4 * ((k + i) as f64).cos();
+                (lo, lo + 0.2, 0.03 + 0.005 * ((k + i) % 4) as f64)
+            })
+            .collect();
+        // Row `i`'s minimum is the cost of the first `i + 1` segments.
+        let prefix: Vec<f64> = (1..=len)
+            .map(|rows| {
+                path_cost(&features_from(&segments[..rows]), &measured, penalty, None, &mut scratch)
+                    .expect("non-empty inputs align")
+            })
+            .collect();
+        assert!(prefix.windows(2).all(|w| w[0] < w[1]), "lane {k}: row minima must rise");
+        limits.push(match abandon_row {
+            Some(row) => (prefix[row - 1] + prefix[row]) / 2.0,
+            None => f64::INFINITY,
+        });
+        candidates.push(features_from(&segments));
+        prefix_costs.push(prefix);
+    }
+    let refs: Vec<&SegmentFeatures> = candidates.iter().collect();
+    let mut out = Vec::new();
+    dtw_screen_lockstep(&refs, &measured, penalty, &limits, &mut scratch, &mut out);
+    for (k, &(len, abandon_row)) in lanes.iter().enumerate() {
+        let want = match abandon_row {
+            Some(row) => ScreenOutcome::Abandoned { lower_bound: prefix_costs[k][row] },
+            None => ScreenOutcome::Completed(prefix_costs[k][len - 1]),
+        };
+        assert_eq!(out[k], want, "lane {k}");
+        let standalone =
+            path_cost(&candidates[k], &measured, penalty, Some(limits[k]), &mut scratch);
+        assert_eq!(standalone.map(f64::to_bits), out[k].completed().map(f64::to_bits), "lane {k}");
     }
 }
 

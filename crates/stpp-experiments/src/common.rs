@@ -205,6 +205,18 @@ impl MeanAccuracy {
         self.cell(self.y)
     }
 
+    /// The mean of the X and Y accuracies (Figure 17's "combined"); `None`
+    /// when no scored trial had a Y ordering.
+    pub fn combined(&self) -> Option<f64> {
+        self.y.map(|y| (self.x + y) / 2.0)
+    }
+
+    /// The combined accuracy with `scored/trials` beside it; `n/a` when no
+    /// scored trial had a Y ordering.
+    pub fn combined_cell(&self) -> String {
+        self.cell(self.combined())
+    }
+
     fn cell(&self, accuracy: Option<f64>) -> String {
         let accuracy = accuracy.map_or_else(|| "n/a".to_string(), pct);
         format!("{accuracy} ({}/{})", self.scored, self.trials)
@@ -242,43 +254,84 @@ pub fn mean_accuracy<S, L>(
     trials: &TrialConfig,
     config_idx: usize,
     antenna_moving: bool,
-    mut make_layout: L,
+    make_layout: L,
 ) -> Result<MeanAccuracy, NoScoredTrials>
 where
     S: OrderingScheme + ?Sized,
     L: FnMut(u64) -> TagLayout,
 {
-    let mut sum_x = 0.0;
-    let mut sum_y = 0.0;
-    let mut count_y = 0usize;
-    let mut scored = 0usize;
-    for t in 0..trials.trials {
-        let seed = trials.trial_seed(config_idx, t);
-        let layout = make_layout(seed);
-        let recording = if antenna_moving {
-            run_antenna_sweep(&layout, seed)
-        } else {
-            run_conveyor_sweep(&layout, seed)
-        };
-        let Some(recording) = recording else { continue };
-        let result = scheme.order(&recording);
-        let (ax, ay) = score_scheme(&recording, &result);
-        sum_x += ax;
-        if let Some(ay) = ay {
-            sum_y += ay;
-            count_y += 1;
+    let mut sums = AccuracySums::default();
+    sums.run(scheme, trials, config_idx, antenna_moving, make_layout);
+    sums.mean(config_idx)
+}
+
+/// Accuracy sums over the trials of one or more configurations, in run
+/// order, so an experiment that pools several configurations into one
+/// cell averages them exactly as [`mean_accuracy`] averages one.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AccuracySums {
+    sum_x: f64,
+    sum_y: f64,
+    count_y: usize,
+    scored: usize,
+    trials: usize,
+}
+
+impl AccuracySums {
+    /// Runs `scheme` over the `trials` sweeps of configuration
+    /// `config_idx` and adds every scored trial; a trial whose layout
+    /// yields no sweep is counted but not scored.
+    pub(crate) fn run<S, L>(
+        &mut self,
+        scheme: &S,
+        trials: &TrialConfig,
+        config_idx: usize,
+        antenna_moving: bool,
+        mut make_layout: L,
+    ) where
+        S: OrderingScheme + ?Sized,
+        L: FnMut(u64) -> TagLayout,
+    {
+        for t in 0..trials.trials {
+            self.trials += 1;
+            let seed = trials.trial_seed(config_idx, t);
+            let layout = make_layout(seed);
+            let recording = if antenna_moving {
+                run_antenna_sweep(&layout, seed)
+            } else {
+                run_conveyor_sweep(&layout, seed)
+            };
+            let Some(recording) = recording else { continue };
+            let result = scheme.order(&recording);
+            let (ax, ay) = score_scheme(&recording, &result);
+            self.sum_x += ax;
+            if let Some(ay) = ay {
+                self.sum_y += ay;
+                self.count_y += 1;
+            }
+            self.scored += 1;
         }
-        scored += 1;
     }
-    if scored == 0 {
-        return Err(NoScoredTrials { config_idx, trials: trials.trials });
+
+    /// The mean accuracy over the scored trials; an error naming
+    /// `config_idx` when none was scored.
+    pub(crate) fn mean(&self, config_idx: usize) -> Result<MeanAccuracy, NoScoredTrials> {
+        if self.scored == 0 {
+            return Err(NoScoredTrials { config_idx, trials: self.trials });
+        }
+        Ok(MeanAccuracy {
+            x: self.sum_x / self.scored as f64,
+            y: (self.count_y > 0).then(|| self.sum_y / self.count_y as f64),
+            scored: self.scored,
+            trials: self.trials,
+        })
     }
-    Ok(MeanAccuracy {
-        x: sum_x / scored as f64,
-        y: (count_y > 0).then(|| sum_y / count_y as f64),
-        scored,
-        trials: trials.trials,
-    })
+}
+
+/// One of the paper's claims checked against this run, as a markdown
+/// list item: `PASS` or `FAIL`, the claim, and what was measured.
+pub(crate) fn shape_check(holds: bool, claim: &str, measured: &str) -> String {
+    format!("- {} — paper: {claim}; measured: {measured}.", if holds { "PASS" } else { "FAIL" })
 }
 
 /// Formats a fraction as a percentage string with one decimal.
@@ -359,6 +412,30 @@ mod tests {
         .expect("two trials scored");
         assert_eq!((acc.scored, acc.trials), (2, 3));
         assert!(acc.y_cell().ends_with(" (2/3)"));
+    }
+
+    #[test]
+    fn pooled_sums_count_every_configurations_trials() {
+        // Figure 17 pools several layouts into one cell: an empty layout
+        // adds its trials to the count but no score, and a pool with
+        // nothing scored is an error over all of its trials.
+        let trials = TrialConfig { trials: 2, seed: 5 };
+        let scheme = GRssi::default();
+        let mut empty = AccuracySums::default();
+        empty.run(&scheme, &trials, 7, true, |_| TagLayout::new());
+        empty.run(&scheme, &trials, 8, true, |_| TagLayout::new());
+        assert_eq!(empty.mean(7), Err(NoScoredTrials { config_idx: 7, trials: 4 }));
+
+        let mut pooled = AccuracySums::default();
+        pooled.run(&scheme, &trials, 7, true, |_| TagLayout::new());
+        pooled.run(&scheme, &trials, 8, true, |_| row_layout(3, 0.15));
+        let acc = pooled.mean(7).expect("the row layout is scored");
+        let alone = mean_accuracy(&scheme, &trials, 8, true, |_| row_layout(3, 0.15))
+            .expect("the row layout is scored");
+        assert_eq!((acc.scored, acc.trials), (2, 4));
+        assert_eq!((acc.x, acc.y), (alone.x, alone.y));
+        assert_eq!(acc.combined(), alone.y.map(|y| (alone.x + y) / 2.0));
+        assert!(acc.combined_cell().ends_with(" (2/4)"), "{}", acc.combined_cell());
     }
 
     #[test]

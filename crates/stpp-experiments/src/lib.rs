@@ -47,7 +47,7 @@ pub fn run_all(trials: &TrialConfig) -> Result<Vec<ExperimentReport>, NoScoredTr
         microbench::fig13_spacing_tag_moving(trials)?,
         microbench::fig14_spacing_antenna_moving(trials)?,
         microbench::table1_population(trials)?,
-        macrobench::fig17_scheme_comparison(trials),
+        macrobench::fig17_scheme_comparison(trials)?,
         macrobench::fig18_accuracy_vs_distance(trials)?,
         macrobench::fig19_accuracy_vs_population(trials)?,
         casestudies::fig21_book_layout(trials.seed),

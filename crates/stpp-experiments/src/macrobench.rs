@@ -7,8 +7,8 @@ use stpp_baselines::{
 };
 
 use crate::common::{
-    mean_accuracy, pct, run_antenna_sweep, score_scheme, staggered_layout, ExperimentReport,
-    NoScoredTrials, TrialConfig,
+    mean_accuracy, pct, shape_check, staggered_layout, AccuracySums, ExperimentReport,
+    MeanAccuracy, NoScoredTrials, TrialConfig,
 };
 
 /// Adds a sparse grid of LANDMARC reference tags around an existing layout.
@@ -39,8 +39,10 @@ fn all_schemes() -> Vec<Box<dyn OrderingScheme>> {
 }
 
 /// Figure 17: ordering accuracy of the five schemes over the layout suite
-/// (spacings 1–10 cm), along X, along Y and combined.
-pub fn fig17_scheme_comparison(trials: &TrialConfig) -> ExperimentReport {
+/// (spacings 1–10 cm), along X, along Y and combined. Each cell pools
+/// every scored trial of the five layouts; a scheme none of whose trials
+/// was scored is an error naming the suite's first configuration (2000).
+pub fn fig17_scheme_comparison(trials: &TrialConfig) -> Result<ExperimentReport, NoScoredTrials> {
     let mut report = ExperimentReport::new(
         "Figure 17",
         "Ordering accuracy per scheme (layout suite, 1-10 cm spacings)",
@@ -55,37 +57,69 @@ pub fn fig17_scheme_comparison(trials: &TrialConfig) -> ExperimentReport {
         Box::new(|seed| staggered_layout(12, 0.08, 6, 0.05, seed)),
         Box::new(|seed| staggered_layout(12, 0.10, 6, 0.06, seed)),
     ];
+    let mut measured = Vec::new();
     for scheme in all_schemes() {
-        let mut sum_x = 0.0;
-        let mut sum_y = 0.0;
-        let mut count = 0usize;
-        let mut count_y = 0usize;
+        let mut sums = AccuracySums::default();
         for (layout_idx, make) in layouts.iter().enumerate() {
-            for t in 0..trials.trials {
-                let seed = trials.trial_seed(2000 + layout_idx, t);
-                // LANDMARC needs reference anchors; harmless for the others.
-                let layout = with_reference_tags(make(seed), 0.15);
-                let Some(recording) = run_antenna_sweep(&layout, seed) else { continue };
-                let result = scheme.order(&recording);
-                let (ax, ay) = score_scheme(&recording, &result);
-                sum_x += ax;
-                count += 1;
-                if let Some(ay) = ay {
-                    sum_y += ay;
-                    count_y += 1;
-                }
-            }
+            // LANDMARC needs reference anchors; harmless for the others.
+            sums.run(scheme.as_ref(), trials, 2000 + layout_idx, true, |seed| {
+                with_reference_tags(make(seed), 0.15)
+            });
         }
-        let ax = sum_x / count.max(1) as f64;
-        let ay = if count_y == 0 { 0.0 } else { sum_y / count_y as f64 };
-        let combined = if count_y == 0 { ax } else { (ax + ay) / 2.0 };
-        report.push_row(vec![scheme.name().to_string(), pct(ax), pct(ay), pct(combined)]);
+        let acc = sums.mean(2000)?;
+        report.push_row(vec![
+            scheme.name().to_string(),
+            acc.x_cell(),
+            acc.y_cell(),
+            acc.combined_cell(),
+        ]);
+        measured.push((scheme.name(), acc));
     }
-    report.with_notes(
-        "Expected ranking (paper Figure 17): G-RSSI ≈ LANDMARC well below 50 %, OTrack below \
-         50 %, BackPos around 80 %, STPP the highest at ~88 %+."
-            .to_string(),
-    )
+    Ok(report.with_notes(fig17_notes(&measured)))
+}
+
+/// The notes of Figure 17, computed from each scheme's measured accuracy:
+/// the paper's claims about STPP and BackPos with the values that confirm
+/// or refute them. A scheme missing from `rows`, or a combined accuracy
+/// that is `n/a`, fails the claims that need it.
+fn fig17_notes(rows: &[(&str, MeanAccuracy)]) -> String {
+    let of = |name: &str| rows.iter().find(|(n, _)| *n == name).map(|(_, a)| a);
+    let opt_pct = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), pct);
+    let listing = |value: fn(&MeanAccuracy) -> Option<f64>| {
+        rows.iter()
+            .map(|(n, a)| format!("{n} {}", opt_pct(value(a))))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let stpp = of("STPP");
+    let stpp_combined = stpp.and_then(MeanAccuracy::combined);
+    let others = || rows.iter().filter(|(n, _)| *n != "STPP").map(|(_, a)| a);
+    let highest_x = stpp.is_some_and(|s| others().all(|a| s.x > a.x));
+    let highest_combined =
+        stpp_combined.is_some_and(|s| others().all(|a| a.combined().is_none_or(|c| s > c)));
+    let backpos_combined = of("BackPos").and_then(MeanAccuracy::combined);
+    [
+        shape_check(
+            highest_x && highest_combined,
+            "STPP has the highest accuracy along X and combined",
+            &format!(
+                "X: {}; combined: {}",
+                listing(|a| Some(a.x)),
+                listing(MeanAccuracy::combined)
+            ),
+        ),
+        shape_check(
+            stpp_combined.is_some_and(|c| c >= 0.88),
+            "STPP's combined accuracy is ~88 % or more (checked as ≥ 88 %)",
+            &format!("STPP combined {}", opt_pct(stpp_combined)),
+        ),
+        shape_check(
+            backpos_combined.is_some_and(|c| (0.70..=0.90).contains(&c)),
+            "BackPos's combined accuracy is around 80 % (checked as 80 ± 10 %)",
+            &format!("BackPos combined {}", opt_pct(backpos_combined)),
+        ),
+    ]
+    .join("\n")
 }
 
 /// Figure 18: accuracy of each scheme as the adjacent-tag distance shrinks
@@ -159,6 +193,59 @@ mod tests {
         assert!(layout.len() > 6);
         let refs = layout.iter().filter(|(id, _)| *id >= REFERENCE_ID_BASE).count();
         assert!(refs >= 4);
+    }
+
+    fn acc(x: f64, y: Option<f64>) -> MeanAccuracy {
+        MeanAccuracy { x, y, scored: 20, trials: 20 }
+    }
+
+    #[test]
+    fn fig17_notes_pass_when_the_ranking_has_the_papers_shape() {
+        let rows = [
+            ("G-RSSI", acc(0.40, Some(0.30))),
+            ("LANDMARC", acc(0.42, Some(0.35))),
+            ("OTrack", acc(0.45, None)),
+            ("BackPos", acc(0.85, Some(0.75))),
+            ("STPP", acc(0.92, Some(0.88))),
+        ];
+        let notes = fig17_notes(&rows);
+        assert_eq!(notes.lines().count(), 3, "{notes}");
+        assert!(notes.lines().all(|l| l.starts_with("- PASS")), "{notes}");
+        assert!(notes.contains("combined: G-RSSI 35.0%, LANDMARC 38.5%, OTrack n/a"), "{notes}");
+        assert!(notes.contains("STPP combined 90.0%"), "{notes}");
+        assert!(notes.contains("BackPos combined 80.0%"), "{notes}");
+    }
+
+    #[test]
+    fn fig17_notes_fail_on_the_reproductions_numbers() {
+        // The values this reproduction measures: BackPos edges STPP on X,
+        // STPP's combined is far below 88 % and BackPos's far below 80 %.
+        let rows = [
+            ("G-RSSI", acc(0.517, Some(0.237))),
+            ("LANDMARC", acc(0.630, Some(0.116))),
+            ("OTrack", acc(0.530, None)),
+            ("BackPos", acc(0.668, Some(0.175))),
+            ("STPP", acc(0.658, Some(0.448))),
+        ];
+        let notes = fig17_notes(&rows);
+        assert_eq!(notes.lines().count(), 3, "{notes}");
+        assert!(notes.lines().all(|l| l.starts_with("- FAIL")), "{notes}");
+        assert!(notes.contains("X: G-RSSI 51.7%, LANDMARC 63.0%, OTrack 53.0%"), "{notes}");
+        assert!(notes.contains("OTrack n/a, BackPos 42.1%, STPP 55.3%"), "{notes}");
+        assert!(notes.contains("STPP combined 55.3%"), "{notes}");
+        // Highest on X alone is not enough: the combined ranking counts
+        // too. A STPP row without a Y ordering, or no STPP row at all,
+        // fails both STPP claims.
+        let mut x_only = rows;
+        x_only[4].1 = acc(0.70, Some(0.10));
+        assert!(fig17_notes(&x_only).starts_with("- FAIL"));
+        let mut no_y = rows;
+        no_y[4].1 = acc(0.70, None);
+        let no_y = fig17_notes(&no_y);
+        assert!(no_y.contains("STPP combined n/a"), "{no_y}");
+        assert!(no_y.lines().take(2).all(|l| l.starts_with("- FAIL")), "{no_y}");
+        let no_stpp = fig17_notes(&rows[..4]);
+        assert!(no_stpp.lines().take(2).all(|l| l.starts_with("- FAIL")), "{no_stpp}");
     }
 
     #[test]

@@ -5,15 +5,9 @@ use stpp_baselines::StppScheme;
 use stpp_core::StppConfig;
 
 use crate::common::{
-    mean_accuracy, pct, staggered_layout, ExperimentReport, MeanAccuracy, NoScoredTrials,
-    TrialConfig,
+    mean_accuracy, pct, shape_check, staggered_layout, ExperimentReport, MeanAccuracy,
+    NoScoredTrials, TrialConfig,
 };
-
-/// One of the paper's claims checked against this run, as a markdown
-/// list item: `PASS` or `FAIL`, the claim, and what was measured.
-fn shape_check(holds: bool, claim: &str, measured: &str) -> String {
-    format!("- {} — paper: {claim}; measured: {measured}.", if holds { "PASS" } else { "FAIL" })
-}
 
 fn stpp_with_window(window: usize) -> StppScheme {
     StppScheme::with_config(StppConfig { window, ..StppConfig::default() })
