@@ -17,7 +17,10 @@
 //!
 //! Without `--report` it gates the checked-in `BENCH_pipeline.json`, and
 //! without `--gate` the checked-in `bench_gate.toml`. An unknown flag, a
-//! positional word, a missing value or a bad number exits with code 2.
+//! positional word, a missing value or a bad number exits with code 2. A
+//! thresholds file that leaves out a threshold the gate reads, sets one
+//! twice, or sets one the gate does not read fails the gate (code 1), so
+//! a stale or misspelt floor cannot pass unread.
 //!
 //! `--degrade F` multiplies every measured speedup by `F` (and divides
 //! the overhead ratio by it) before gating — an artificial regression
@@ -77,13 +80,6 @@ struct ModeReport {
     localized: usize,
 }
 
-/// One point of the serve_net concurrency sweep.
-#[derive(Debug, Deserialize)]
-struct ConnectionSweep {
-    connections: usize,
-    speedup_async_vs_blocking: f64,
-}
-
 /// The slice of a population report the gate needs (extra JSON fields are
 /// ignored by the deserializer).
 #[derive(Debug, Deserialize)]
@@ -95,7 +91,6 @@ struct PopulationReport {
     speedup_batch_vs_seed: f64,
     speedup_serve_warm_vs_cold: f64,
     overhead_net_vs_warm: f64,
-    serve_net_connections: Option<Vec<ConnectionSweep>>,
 }
 
 /// One point of the fleet sweep the gate needs.
@@ -128,10 +123,21 @@ struct BenchReport {
     streaming: Option<StreamingReport>,
 }
 
+/// The thresholds the gate reads. The `[thresholds]` section must set
+/// each exactly once and nothing else.
+const THRESHOLDS: [&str; 5] = [
+    "min_speedup_batch_vs_seed",
+    "min_speedup_serve_warm_vs_cold",
+    "max_overhead_net_vs_warm",
+    "min_speedup_fleet2_vs_single",
+    "min_speedup_first_result_vs_batch",
+];
+
 /// Parses the `[thresholds]` section of a minimal TOML file: `key =
 /// number` lines, `#` comments, one section header. Returns an error
-/// string naming the first malformed line.
-fn parse_thresholds(text: &str) -> Result<HashMap<String, f64>, String> {
+/// string naming the first malformed line, the first key that is not in
+/// [`THRESHOLDS`] or is set twice, or the first threshold left out.
+fn parse_thresholds(text: &str) -> Result<HashMap<&'static str, f64>, String> {
     let mut out = HashMap::new();
     let mut in_thresholds = false;
     for (number, raw) in text.lines().enumerate() {
@@ -149,23 +155,48 @@ fn parse_thresholds(text: &str) -> Result<HashMap<String, f64>, String> {
         let Some((key, value)) = line.split_once('=') else {
             return Err(format!("line {}: expected `key = value`, got `{raw}`", number + 1));
         };
+        let key = key.trim();
+        let Some(&known) = THRESHOLDS.iter().find(|&&k| k == key) else {
+            return Err(format!(
+                "line {}: `{key}` is not a threshold bench_gate reads",
+                number + 1
+            ));
+        };
         let value: f64 = value
             .trim()
             .parse()
             .map_err(|_| format!("line {}: `{}` is not a number", number + 1, value.trim()))?;
-        out.insert(key.trim().to_string(), value);
+        if out.insert(known, value).is_some() {
+            return Err(format!("line {}: `{key}` is set twice", number + 1));
+        }
     }
-    Ok(out)
-}
-
-fn threshold(thresholds: &HashMap<String, f64>, key: &str) -> Result<f64, String> {
-    thresholds.get(key).copied().ok_or_else(|| format!("bench_gate.toml is missing `{key}`"))
+    match THRESHOLDS.iter().find(|&&key| !out.contains_key(key)) {
+        Some(missing) => Err(format!("missing `{missing}`")),
+        None => Ok(out),
+    }
 }
 
 fn main() -> ExitCode {
     let Args { report_path, gate_path, degrade } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(error) => return cli::usage_error(&error, USAGE),
+    };
+
+    // The thresholds first: a bad thresholds file fails whatever the
+    // report holds.
+    let gate_text = match std::fs::read_to_string(&gate_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("bench_gate: cannot read thresholds {gate_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let limits = match parse_thresholds(&gate_text) {
+        Ok(map) => map,
+        Err(e) => {
+            eprintln!("bench_gate: {gate_path}: {e}");
+            return ExitCode::FAILURE;
+        }
     };
 
     let report_text = match std::fs::read_to_string(&report_path) {
@@ -182,9 +213,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if report.schema != "stpp-bench-pipeline/v8" {
+    if report.schema != "stpp-bench-pipeline/v9" {
         eprintln!(
-            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v8` — regenerate the \
+            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v9` — regenerate the \
              report with this tree's bench_json",
             report.schema
         );
@@ -193,41 +224,6 @@ fn main() -> ExitCode {
     if report.populations.is_empty() {
         eprintln!("bench_gate: report has no populations");
         return ExitCode::FAILURE;
-    }
-
-    let gate_text = match std::fs::read_to_string(&gate_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read thresholds {gate_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let thresholds = match parse_thresholds(&gate_text) {
-        Ok(map) => map,
-        Err(e) => {
-            eprintln!("bench_gate: {gate_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let required = [
-        "min_speedup_batch_vs_seed",
-        "min_speedup_serve_warm_vs_cold",
-        "max_overhead_net_vs_warm",
-        "min_speedup_async_vs_blocking_64conn",
-        "min_speedup_fleet2_vs_single",
-        "min_speedup_first_result_vs_batch",
-    ];
-    let mut limits = HashMap::new();
-    for key in required {
-        match threshold(&thresholds, key) {
-            Ok(v) => {
-                limits.insert(key, v);
-            }
-            Err(e) => {
-                eprintln!("bench_gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     if degrade != 1.0 {
@@ -292,35 +288,6 @@ fn main() -> ExitCode {
     if worst_net > max_net {
         violations
             .push(format!("wire overhead vs warm grew to {worst_net:.2}x (threshold {max_net}x)"));
-    }
-
-    // The async-core concurrency floor: at 64 concurrent connections the
-    // readiness core must serve the sweep workload at least as fast as
-    // the thread-per-connection core. The sweep rides the smallest
-    // population, so exactly one population carries it.
-    let min_async = limits["min_speedup_async_vs_blocking_64conn"];
-    let async_64 = report
-        .populations
-        .iter()
-        .filter_map(|p| p.serve_net_connections.as_ref())
-        .flatten()
-        .find(|s| s.connections == 64)
-        .map(|s| s.speedup_async_vs_blocking * degrade);
-    match async_64 {
-        None => violations.push(
-            "report has no 64-connection serve_net sweep — regenerate with this tree's \
-             bench_json"
-                .to_string(),
-        ),
-        Some(ratio) => {
-            eprintln!("bench_gate: serve_net x64 | async {ratio:5.2}x vs blocking");
-            if ratio < min_async {
-                violations.push(format!(
-                    "async core at 64 connections regressed to {ratio:.2}x the blocking core \
-                     (threshold {min_async}x)"
-                ));
-            }
-        }
     }
 
     // The fleet floor: a 2-shard fleet must serve the concurrent
@@ -400,13 +367,12 @@ fn main() -> ExitCode {
     };
 
     if violations.is_empty() {
-        let async_64 = async_64.expect("no violations means the sweep was present");
         let fleet2 = fleet2.expect("no violations means the fleet sweep was present");
         let ttfr = ttfr.expect("no violations means the streaming sweep was present");
         eprintln!(
             "bench_gate: PASS (batch {worst_batch:.2}x >= {min_batch}, warm {worst_warm:.2}x >= \
-             {min_warm}, net {worst_net:.2}x <= {max_net}, async x64 {async_64:.2}x >= {min_async}, fleet x2 \
-             {fleet2:.2}x >= {min_fleet}, streaming first result {ttfr:.2}x >= {min_ttfr})"
+             {min_warm}, net {worst_net:.2}x <= {max_net}, fleet x2 {fleet2:.2}x >= {min_fleet}, \
+             streaming first result {ttfr:.2}x >= {min_ttfr})"
         );
         ExitCode::SUCCESS
     } else {

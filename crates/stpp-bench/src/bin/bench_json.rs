@@ -17,7 +17,6 @@
 //! cargo run --release -p stpp-bench --bin bench_json -- --out p.json
 //! cargo run --release -p stpp-bench --bin bench_json -- \
 //!     --scenario scenarios/portal.json --scenario scenarios/shelf.json
-//! cargo run --release -p stpp-bench --bin bench_json -- --connections 1,8,64
 //! ```
 //!
 //! An unknown flag, a positional word, a missing value or a bad number
@@ -48,23 +47,11 @@ use stpp_core::{
 };
 use stpp_serve::{
     FleetClient, GeometryKey, LocalizationService, LocalizeReply, RetryPolicy, ServerConfig,
-    ServerCore, ServiceConfig, SessionGeometry, ShardIdentity, ShardRouter, StppClient, StppServer,
+    ServiceConfig, SessionGeometry, ShardIdentity, ShardRouter, StppClient, StppServer,
 };
 
 /// Timed repetitions per (population, mode); the minimum is reported.
 const REPS: usize = 5;
-/// Concurrent-connection counts the serve_net sweep measures on the
-/// smallest population (overridable with `--connections 1,8,64`).
-const DEFAULT_CONNECTIONS: &[usize] = &[1, 8, 64];
-/// Connect → localize → disconnect rounds each sweep worker performs
-/// per repetition. Every round opens a fresh connection: portal fleets
-/// churn connections, and the churn is where the cores genuinely
-/// diverge — the blocking core pays a thread spawn + stack + teardown
-/// per connection while the readiness core pays an epoll registration.
-const SWEEP_ROUNDS_PER_WORKER: usize = 4;
-/// Timed repetitions per (core, connection count); the minimum is
-/// reported.
-const SWEEP_REPS: usize = 5;
 /// Shard counts the fleet sweep measures. The gate compares the 2-shard
 /// fleet against the single server.
 const FLEET_SHARD_COUNTS: &[usize] = &[1, 2, 4];
@@ -117,23 +104,6 @@ struct ModeReport {
     localized: usize,
 }
 
-/// One point of the serve_net concurrency sweep: the same warm wire
-/// workload driven by N concurrent connections against each server core.
-#[derive(Serialize)]
-struct ConnectionSweep {
-    /// Concurrent client connections.
-    connections: usize,
-    /// Total wall-clock to serve every connection's requests on the
-    /// blocking (thread-per-connection) core, milliseconds (minimum over
-    /// the repetitions).
-    blocking_ms: f64,
-    /// Same workload on the readiness (epoll reactor) core.
-    async_ms: f64,
-    /// `blocking_ms / async_ms` — above 1.0 means the async core served
-    /// the same concurrent load faster.
-    speedup_async_vs_blocking: f64,
-}
-
 #[derive(Serialize)]
 struct PopulationReport {
     /// Scenario name when the input came from `--scenario`, else `None`
@@ -167,9 +137,6 @@ struct PopulationReport {
     speedup_serve_warm_vs_cold: f64,
     /// `serve_net.localize_ms / serve_warm.localize_ms` — the wire tax.
     overhead_net_vs_warm: f64,
-    /// The serve_net concurrency sweep (smallest population only, to
-    /// bound runtime; `None` on the other populations).
-    serve_net_connections: Option<Vec<ConnectionSweep>>,
 }
 
 /// One point of the fleet sweep: the same concurrent multi-geometry
@@ -293,33 +260,25 @@ fn time_mode<F: FnMut() -> Result<StppResult, LocalizationError>>(
     Ok(ModeReport { localize_ms: best_ms, localized })
 }
 
-fn bench_population(
-    tags: usize,
-    threads: usize,
-    sweep_connections: Option<&[usize]>,
-) -> Result<PopulationReport, LocalizationError> {
+fn bench_population(tags: usize, threads: usize) -> Result<PopulationReport, LocalizationError> {
     let recording = benchmark_recording(tags, 0.06, 21);
     let t = Instant::now();
     let input = Arc::new(StppInput::from_recording(&recording).expect("valid benchmark input"));
     let input_build_ms = t.elapsed().as_secs_f64() * 1e3;
-    bench_input(None, input, input_build_ms, threads, sweep_connections)
+    bench_input(None, input, input_build_ms, threads)
 }
 
 /// Benchmarks one workload built from a declarative scenario file: the
 /// seeded simulation replaces the synthetic recording, everything after
 /// the `StppInput` is the same mode matrix.
-fn bench_scenario(
-    path: &str,
-    threads: usize,
-    sweep_connections: Option<&[usize]>,
-) -> Result<PopulationReport, LocalizationError> {
+fn bench_scenario(path: &str, threads: usize) -> Result<PopulationReport, LocalizationError> {
     let spec = stpp_scenario::ScenarioSpec::load(std::path::Path::new(path))
         .unwrap_or_else(|e| panic!("scenario {path} must parse: {e}"));
     let t = Instant::now();
     let built = stpp_scenario::build_scenario(&spec)
         .unwrap_or_else(|e| panic!("scenario {path} must build: {e}"));
     let input_build_ms = t.elapsed().as_secs_f64() * 1e3;
-    bench_input(Some(spec.name), built.input, input_build_ms, threads, sweep_connections)
+    bench_input(Some(spec.name), built.input, input_build_ms, threads)
 }
 
 fn bench_input(
@@ -327,7 +286,6 @@ fn bench_input(
     input: Arc<StppInput>,
     input_build_ms: f64,
     threads: usize,
-    sweep_connections: Option<&[usize]>,
 ) -> Result<PopulationReport, LocalizationError> {
     let tags = input.observations.len();
     let config = StppConfig::default();
@@ -374,9 +332,6 @@ fn bench_input(
     client.shutdown().expect("shutdown benchmark server");
     handle.join().expect("benchmark server exits");
 
-    let serve_net_connections =
-        sweep_connections.map(|counts| sweep_serve_net(&input, service_config, counts));
-
     let speedup = seed_sequential_exact.localize_ms / batch.localize_ms.max(1e-9);
     let serve_speedup = serve_cold.localize_ms / serve_warm.localize_ms.max(1e-9);
     let net_overhead = serve_net.localize_ms / serve_warm.localize_ms.max(1e-9);
@@ -393,110 +348,7 @@ fn bench_input(
         speedup_batch_vs_seed: speedup,
         speedup_serve_warm_vs_cold: serve_speedup,
         overhead_net_vs_warm: net_overhead,
-        serve_net_connections,
     })
-}
-
-/// Spawns one sweep server with a pre-warmed service on the given core.
-fn spawn_sweep_server(
-    input: &Arc<StppInput>,
-    service_config: ServiceConfig,
-    core: ServerCore,
-    connections: usize,
-) -> stpp_serve::ServerHandle {
-    let service = LocalizationService::new(service_config);
-    service.localize(input.clone()).expect("sweep warm-up request");
-    let server_config = ServerConfig {
-        // Deep enough that admission never rejects: every connection has
-        // at most one request in flight, so `Busy` retries cannot skew
-        // the timing.
-        queue_depth: connections.max(8),
-        core,
-        ..ServerConfig::default()
-    };
-    let server =
-        StppServer::bind("127.0.0.1:0", service, server_config).expect("bind sweep server");
-    server.spawn().expect("spawn sweep server")
-}
-
-/// One timed repetition: N concurrent workers, each performing
-/// [`SWEEP_ROUNDS_PER_WORKER`] rounds of connect → warm localize →
-/// disconnect. The per-round reconnect is deliberate: it bills each
-/// core its real connection-lifecycle cost (thread spawn + stack +
-/// teardown on the blocking core, epoll registration on the readiness
-/// core) the way a churning portal fleet would, instead of amortizing
-/// one setup across the whole repetition.
-fn time_rep(input: &Arc<StppInput>, addr: std::net::SocketAddr, connections: usize) -> f64 {
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..connections {
-            scope.spawn(|| {
-                for _ in 0..SWEEP_ROUNDS_PER_WORKER {
-                    let mut client = StppClient::connect(addr).expect("connect sweep client");
-                    match client.localize(input, None).expect("sweep request") {
-                        LocalizeReply::Localized(_) => {}
-                        LocalizeReply::Busy { .. } => {
-                            unreachable!("sweep queue_depth covers every connection")
-                        }
-                    }
-                }
-            });
-        }
-    });
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-fn shutdown_sweep_server(handle: stpp_serve::ServerHandle) {
-    let mut client = StppClient::connect(handle.addr()).expect("connect for shutdown");
-    client.shutdown().expect("shutdown sweep server");
-    handle.join().expect("sweep server exits");
-}
-
-/// Measures one sweep point. Both cores are up for the whole point and
-/// the [`SWEEP_REPS`] repetitions alternate blocking/async rep by rep,
-/// so slow machine drift (a noisy CI neighbour arriving mid-sweep)
-/// lands on both cores roughly equally and cancels in the ratio of the
-/// per-core minima.
-fn sweep_point(
-    input: &Arc<StppInput>,
-    service_config: ServiceConfig,
-    connections: usize,
-) -> ConnectionSweep {
-    let blocking = spawn_sweep_server(input, service_config, ServerCore::Blocking, connections);
-    let async_ = spawn_sweep_server(input, service_config, ServerCore::Async, connections);
-    let mut blocking_ms = f64::INFINITY;
-    let mut async_ms = f64::INFINITY;
-    for _ in 0..SWEEP_REPS {
-        blocking_ms = blocking_ms.min(time_rep(input, blocking.addr(), connections));
-        async_ms = async_ms.min(time_rep(input, async_.addr(), connections));
-    }
-    shutdown_sweep_server(blocking);
-    shutdown_sweep_server(async_);
-    ConnectionSweep {
-        connections,
-        blocking_ms,
-        async_ms,
-        speedup_async_vs_blocking: blocking_ms / async_ms.max(1e-9),
-    }
-}
-
-fn sweep_serve_net(
-    input: &Arc<StppInput>,
-    service_config: ServiceConfig,
-    counts: &[usize],
-) -> Vec<ConnectionSweep> {
-    counts
-        .iter()
-        .map(|&connections| {
-            let sweep = sweep_point(input, service_config, connections);
-            eprintln!(
-                "  serve_net x{connections}: blocking {:8.2} ms | async {:8.2} ms | async \
-                 {:.2}x blocking",
-                sweep.blocking_ms, sweep.async_ms, sweep.speedup_async_vs_blocking
-            );
-            sweep
-        })
-        .collect()
 }
 
 /// The fleet workload's geometry variants: variant 0 is the input
@@ -632,8 +484,7 @@ fn time_fleet_rep(
 
 /// Measures the fleet sweep. Every fleet size is up for the whole sweep
 /// and the [`FLEET_REPS`] repetitions interleave fleet sizes rep by
-/// rep, so machine drift cancels in the ratio of the per-size minima
-/// (the same discipline as the serve_net core sweep).
+/// rep, so machine drift cancels in the ratio of the per-size minima.
 fn sweep_fleet(input: &Arc<StppInput>) -> FleetReport {
     let config = StppConfig::default();
     let variants = fleet_variants(input);
@@ -835,22 +686,19 @@ fn sweep_streaming(threads: usize) -> StreamingReport {
 }
 
 /// The usage line printed with every command-line error.
-const USAGE: &str =
-    "usage: bench_json [--smoke] [--out <report.json>] [--scenario <file.json>]... \
-                     [--connections <n,n,...>]";
+const USAGE: &str = "usage: bench_json [--smoke] [--out <report.json>] [--scenario <file.json>]...";
 
 /// A parsed command line.
 struct Args {
     smoke: bool,
     out_path: String,
     scenario_files: Vec<String>,
-    sweep_counts: Vec<usize>,
 }
 
 /// Parses the arguments after the program name. `--scenario` may repeat;
 /// every other flag may be given once; anything else is an error.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let (mut smoke, mut out, mut connections) = (false, None, None);
+    let (mut smoke, mut out) = (false, None);
     let mut scenario_files = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -858,7 +706,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--smoke" if smoke => return Err("`--smoke` given more than once".into()),
             "--smoke" => smoke = true,
             "--out" => cli::value_of(&mut out, &arg, &mut args)?,
-            "--connections" => cli::value_of(&mut connections, &arg, &mut args)?,
             "--scenario" => {
                 let mut path = None;
                 cli::value_of(&mut path, &arg, &mut args)?;
@@ -867,30 +714,20 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             other => return Err(cli::unexpected(other)),
         }
     }
-    let sweep_counts = match connections {
-        None => DEFAULT_CONNECTIONS.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|n| n.trim().parse::<usize>().ok().filter(|&n| n > 0))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("bad --connections `{list}` (expected e.g. 1,8,64)"))?,
-    };
     Ok(Args {
         smoke,
         // Default to the repository root regardless of the cwd.
         out_path: out
             .unwrap_or_else(|| format!("{}/../../BENCH_pipeline.json", env!("CARGO_MANIFEST_DIR"))),
         scenario_files,
-        sweep_counts,
     })
 }
 
 fn main() -> ExitCode {
-    let Args { smoke, out_path, scenario_files, sweep_counts } =
-        match parse_args(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(error) => return cli::usage_error(&error, USAGE),
-        };
+    let Args { smoke, out_path, scenario_files } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(error) => return cli::usage_error(&error, USAGE),
+    };
 
     // The smoke sweep keeps one tiny population (fast sanity + the small-
     // batch ratios) and one mid-size population large enough for the
@@ -902,23 +739,17 @@ fn main() -> ExitCode {
     let mut bench_jobs: Vec<Box<dyn FnOnce() -> Result<PopulationReport, LocalizationError>>> =
         Vec::new();
     if scenario_files.is_empty() {
-        // The connection sweep rides the smallest population only: the
-        // per-request work is cheapest there, so the sweep isolates the
-        // server cores' concurrency behaviour without inflating runtime.
-        let smallest = populations.iter().copied().min();
         for &tags in populations {
-            let counts = (Some(tags) == smallest).then(|| sweep_counts.clone());
             bench_jobs.push(Box::new(move || {
                 eprintln!("benchmarking {tags} tags…");
-                bench_population(tags, threads, counts.as_deref())
+                bench_population(tags, threads)
             }));
         }
     } else {
-        for (i, path) in scenario_files.into_iter().enumerate() {
-            let counts = (i == 0).then(|| sweep_counts.clone());
+        for path in scenario_files {
             bench_jobs.push(Box::new(move || {
                 eprintln!("benchmarking scenario {path}…");
-                bench_scenario(&path, threads, counts.as_deref())
+                bench_scenario(&path, threads)
             }));
         }
     }
@@ -965,7 +796,7 @@ fn main() -> ExitCode {
     let streaming = sweep_streaming(threads);
 
     let report = BenchReport {
-        schema: "stpp-bench-pipeline/v8",
+        schema: "stpp-bench-pipeline/v9",
         smoke,
         threads,
         populations: reports,

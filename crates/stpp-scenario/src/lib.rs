@@ -53,6 +53,6 @@ pub use report::{
 pub use runner::{run_scenario, RunError, RunOptions};
 pub use spec::{
     ChannelSpec, ClientSpec, DeploymentSpec, DurationSpec, Expectations, FleetSpec, ImpairmentSpec,
-    LayoutSpec, MultipathSpec, PopulationSpec, ScenarioSpec, ScheduleSpec, ServerCoreSpec,
-    ServerSpec, StormSpec, StreamingSpec, TagPosition,
+    LayoutSpec, MultipathSpec, PopulationSpec, ScenarioSpec, ScheduleSpec, ServerSpec, StormSpec,
+    StreamingSpec, TagPosition,
 };

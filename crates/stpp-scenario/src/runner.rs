@@ -16,8 +16,8 @@ use stpp_core::{metrics, BatchLocalizer, StppConfig, StppInput, StppResult};
 use stpp_serve::proto::{encode_localize_request_into, read_frame, write_frame};
 use stpp_serve::{
     FleetClient, FlushReply, LocalizationRequest, LocalizationService, Request, ResilienceCounters,
-    ResilientClient, ResilientError, Response, RetryPolicy, ServerConfig, ServerCore,
-    ServiceConfig, SessionGeometry, ShardIdentity, StppClient, StppServer, WireReport,
+    ResilientClient, ResilientError, Response, RetryPolicy, ServerConfig, ServiceConfig,
+    SessionGeometry, ShardIdentity, StppClient, StppServer, WireReport,
 };
 
 use crate::build::{build_scenario, BuiltScenario};
@@ -28,8 +28,7 @@ use crate::report::{
     StreamingObservations,
 };
 use crate::spec::{
-    ClientSpec, Expectations, FleetSpec, ImpairmentSpec, ScenarioSpec, ServerCoreSpec, StormSpec,
-    StreamingSpec,
+    ClientSpec, Expectations, FleetSpec, ImpairmentSpec, ScenarioSpec, StormSpec, StreamingSpec,
 };
 
 /// Circuit-open waits per request before the runner gives up: the
@@ -731,9 +730,9 @@ const MAX_STORM_ATTEMPTS_PER_REQUEST: u64 = 500;
 
 /// The connection storm: `connections` raw TCP clients, each trickling
 /// its `Localize` frames `chunk_bytes` at a time (exercising the
-/// server's incremental decoder), straight at the server address — any
-/// chaos proxy is bypassed, because the storm probes the server core,
-/// not the wire impairments. A `Busy` rejection is counted and retried
+/// server's frame reads across short reads), straight at the server
+/// address — any chaos proxy is bypassed, because the storm probes the
+/// server, not the wire impairments. A `Busy` rejection is counted and retried
 /// on the same connection; a torn or over-limit connection reconnects.
 /// A connection counts as served only when every one of its requests
 /// came back `Localized` with the run's deterministic result.
@@ -852,12 +851,6 @@ fn service_config(spec: &ScenarioSpec) -> ServiceConfig {
 fn server_config(spec: &ScenarioSpec) -> ServerConfig {
     let mut config =
         ServerConfig { queue_depth: spec.server.queue_depth as usize, ..ServerConfig::default() };
-    if let Some(core) = spec.server.core {
-        config.core = match core {
-            ServerCoreSpec::Blocking => ServerCore::Blocking,
-            ServerCoreSpec::Async => ServerCore::Async,
-        };
-    }
     if let Some(max) = spec.server.max_connections {
         config.max_connections = max as usize;
     }

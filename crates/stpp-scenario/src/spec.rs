@@ -179,16 +179,6 @@ impl Default for ScheduleSpec {
     }
 }
 
-/// Which accept/read/write engine the wire runner's server uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCoreSpec {
-    /// Thread-per-connection blocking I/O.
-    Blocking,
-    /// Readiness loop over epoll (thread count independent of
-    /// connection count).
-    Async,
-}
-
 /// Server sizing for the service and wire runners.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
@@ -196,10 +186,6 @@ pub struct ServerSpec {
     pub queue_depth: u64,
     /// Persistent detection-pool workers.
     pub pool_workers: u64,
-    /// Accept/read/write engine override; `None` keeps the server
-    /// default (which honours the `STPP_SERVER_CORE` environment
-    /// variable, so un-pinned scenarios follow the CI matrix).
-    pub core: Option<ServerCoreSpec>,
     /// Concurrent-connection cap override; a connection accepted at the
     /// cap gets the typed `TooManyConnections` frame. `None` keeps the
     /// server default.
@@ -208,7 +194,7 @@ pub struct ServerSpec {
 
 impl Default for ServerSpec {
     fn default() -> Self {
-        ServerSpec { queue_depth: 32, pool_workers: 2, core: None, max_connections: None }
+        ServerSpec { queue_depth: 32, pool_workers: 2, max_connections: None }
     }
 }
 
@@ -268,9 +254,9 @@ impl Default for FleetSpec {
 
 /// A wire-only connection storm: many concurrent raw connections, each
 /// trickling its request frames a few bytes at a time (exercising the
-/// server's incremental decoder), directly against the server address
-/// (the chaos proxy, if any, is bypassed — the storm probes the server
-/// core, not the wire impairments).
+/// server's frame reads across short reads), directly against the server
+/// address (the chaos proxy, if any, is bypassed — the storm probes the
+/// server, not the wire impairments).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormSpec {
     /// Concurrent storm connections, `[1, 256]`.
@@ -893,27 +879,12 @@ fn parse_server(value: &Value, path: &str) -> Result<ServerSpec, ScenarioError> 
         Some((v, p)) => bounded(v, p, 64)?,
         None => 2,
     };
-    let core = match fields.optional("core") {
-        Some((v, p)) => Some(match str_at(v, &p)? {
-            "blocking" => ServerCoreSpec::Blocking,
-            "async" => ServerCoreSpec::Async,
-            other => {
-                return Err(ScenarioError::InvalidValue {
-                    path: p,
-                    reason: format!(
-                        "`{other}` is not a server core (expected `blocking` or `async`)"
-                    ),
-                })
-            }
-        }),
-        None => None,
-    };
     let max_connections = match fields.optional("max_connections") {
         Some((v, p)) => Some(bounded(v, p, 65536)?),
         None => None,
     };
     fields.finish()?;
-    Ok(ServerSpec { queue_depth, pool_workers, core, max_connections })
+    Ok(ServerSpec { queue_depth, pool_workers, max_connections })
 }
 
 fn parse_fleet(value: &Value, path: &str) -> Result<FleetSpec, ScenarioError> {
@@ -1464,13 +1435,6 @@ impl ScenarioSpec {
             ("queue_depth".to_string(), Value::U64(self.server.queue_depth)),
             ("pool_workers".to_string(), Value::U64(self.server.pool_workers)),
         ];
-        if let Some(core) = self.server.core {
-            let name = match core {
-                ServerCoreSpec::Blocking => "blocking",
-                ServerCoreSpec::Async => "async",
-            };
-            server.push(("core".to_string(), Value::Str(name.to_string())));
-        }
         if let Some(max) = self.server.max_connections {
             server.push(("max_connections".to_string(), Value::U64(max)));
         }
@@ -1854,17 +1818,16 @@ mod tests {
     }
 
     #[test]
-    fn server_core_and_storm_knobs_parse_and_round_trip() {
+    fn server_and_storm_knobs_parse_and_round_trip() {
         let text = minimal().replace(
             "\"seed\": 7",
             r#""seed": 7,
-            "server": { "queue_depth": 4, "core": "async", "max_connections": 128 },
+            "server": { "queue_depth": 4, "max_connections": 128 },
             "storm": { "connections": 64, "chunk_bytes": 512, "chunk_gap": "2ms" },
             "expectations": { "min_storm_connections": 64 }"#,
         );
         let spec = ScenarioSpec::from_json(&text).expect("parses");
         assert_eq!(spec.server.queue_depth, 4);
-        assert_eq!(spec.server.core, Some(ServerCoreSpec::Async));
         assert_eq!(spec.server.max_connections, Some(128));
         let storm = spec.storm.expect("storm block");
         assert_eq!(storm.connections, 64);
@@ -1875,8 +1838,12 @@ mod tests {
         let back = ScenarioSpec::from_json(&spec.to_json()).expect("canonical form parses");
         assert_eq!(spec, back);
 
-        let bad = minimal().replace("\"seed\": 7", r#""seed": 7, "server": { "core": "fibers" }"#);
-        assert!(matches!(ScenarioSpec::from_json(&bad), Err(ScenarioError::InvalidValue { .. })));
+        // A stale `core` field is an error, not silently ignored.
+        let bad = minimal().replace("\"seed\": 7", r#""seed": 7, "server": { "core": "async" }"#);
+        assert_eq!(
+            ScenarioSpec::from_json(&bad),
+            Err(ScenarioError::UnknownField { path: "server.core".to_string() })
+        );
         let bad = minimal().replace("\"seed\": 7", r#""seed": 7, "storm": {}"#);
         assert_eq!(
             ScenarioSpec::from_json(&bad),

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use proptest::ProptestConfig;
 use stpp_scenario::{
     ChannelSpec, ClientSpec, DeploymentSpec, DurationSpec, Expectations, FleetSpec, ImpairmentSpec,
-    LayoutSpec, MultipathSpec, PopulationSpec, ScenarioSpec, ScheduleSpec, ServerCoreSpec,
-    ServerSpec, StormSpec, StreamingSpec, TagPosition,
+    LayoutSpec, MultipathSpec, PopulationSpec, ScenarioSpec, ScheduleSpec, ServerSpec, StormSpec,
+    StreamingSpec, TagPosition,
 };
 
 /// Proptest configuration honouring the `PROPTEST_CASES` environment
@@ -185,18 +185,13 @@ fn arb_client() -> impl Strategy<Value = ClientSpec> {
 }
 
 fn arb_server() -> impl Strategy<Value = ServerSpec> {
-    (
-        1u64..4097,
-        1u64..65,
-        prop::option::of(prop_oneof![Just(ServerCoreSpec::Blocking), Just(ServerCoreSpec::Async)]),
-        prop::option::of(1u64..65537),
-    )
-        .prop_map(|(queue_depth, pool_workers, core, max_connections)| ServerSpec {
+    (1u64..4097, 1u64..65, prop::option::of(1u64..65537)).prop_map(
+        |(queue_depth, pool_workers, max_connections)| ServerSpec {
             queue_depth,
             pool_workers,
-            core,
             max_connections,
-        })
+        },
+    )
 }
 
 fn arb_fleet() -> impl Strategy<Value = FleetSpec> {

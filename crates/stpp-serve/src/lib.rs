@@ -62,7 +62,6 @@ pub mod client;
 pub mod fleet;
 pub mod pool;
 pub mod proto;
-mod reactor;
 pub mod retry;
 pub mod server;
 pub mod service;
@@ -75,7 +74,7 @@ pub use proto::{HealthReport, ProtoError, Request, Response, ServerStats, WireRe
 pub use retry::{
     FailureKind, ResilienceCounters, ResilientClient, ResilientError, ResilientSession, RetryPolicy,
 };
-pub use server::{ServerConfig, ServerCore, ServerHandle, StppServer};
+pub use server::{ServerConfig, ServerHandle, StppServer};
 pub use service::{
     GeometryKey, LocalizationRequest, LocalizationResponse, LocalizationService, RequestMetrics,
     ServiceConfig, ServiceStats,

@@ -20,9 +20,9 @@
 //!
 //! Encoding builds nothing in between: every frame is written straight
 //! into its buffer from the message's [`Serialize`] events
-//! ([`encode_frame`], and through it [`write_frame`] and
-//! [`FrameWriter::enqueue`]; [`encode_localize_request_into`] does the
-//! same over a borrowed input).
+//! ([`encode_frame`], and through it [`write_frame`];
+//! [`encode_localize_request_into`] does the same over a borrowed
+//! input).
 //!
 //! Decoding goes through the [`Message`] trait. The hot frames carry one
 //! small map per phase sample, report or tag: the `Localize` and
@@ -261,8 +261,8 @@ pub struct ServerStats {
     /// reached (each answered with [`Response::TooManyConnections`]).
     pub connection_rejections: u64,
     /// Server-initiated wall-clock quiescence flushes performed by the
-    /// async core's timer wheel (0 unless
-    /// `ServerConfig::wallclock_quiescence` is set).
+    /// session sweep (0 unless `ServerConfig::wallclock_quiescence` is
+    /// set).
     pub wallclock_flushes: u64,
 }
 
@@ -650,7 +650,7 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<usize, ProtoError> {
 }
 
 /// A message that frames decode into: [`Request`] or [`Response`]. The
-/// slice and stream decoders all hand the complete payload to
+/// slice and stream decoders both hand the complete payload to
 /// [`decode_payload`](Self::decode_payload).
 pub trait Message: Sized {
     /// Decodes one complete frame payload.
@@ -766,169 +766,6 @@ pub fn read_frame<R: Read, T: Message>(reader: &mut R) -> Result<Option<T>, Prot
         }
     })?;
     T::decode_payload(&payload).map(Some)
-}
-
-// ---------------------------------------------------------------------------
-// Incremental decode / resumable encode (the readiness core's framing)
-// ---------------------------------------------------------------------------
-
-/// An incremental frame decoder: feed it byte chunks as they arrive
-/// ([`push`](Self::push)), pull complete messages out
-/// ([`next_frame`](Self::next_frame)). The readiness-based server core
-/// uses one per connection — a non-blocking socket delivers partial
-/// frames, and the chaos proxy's mid-frame stall/truncation impairments
-/// are exactly the chunk boundaries this type absorbs.
-///
-/// Chunk boundaries are invisible: pushing a byte stream in *any* split
-/// (byte-by-byte included) yields the same sequence of messages — or the
-/// same typed [`ProtoError`] — as whole-buffer [`decode_frame`]. The
-/// header is validated as soon as its 10 bytes are buffered, so a bad
-/// magic, unsupported version, or oversized length prefix is rejected
-/// before any payload accumulates.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Payload length from the validated header of the frame currently
-    /// being buffered (`None` while still reading the header).
-    payload_len: Option<usize>,
-}
-
-impl FrameDecoder {
-    /// Creates an empty decoder.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
-    }
-
-    /// Appends newly received bytes to the decode buffer.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Number of bytes buffered but not yet consumed as a frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Tries to decode the next complete message. `Ok(None)` means more
-    /// bytes are needed; errors are typed and deterministic (calling
-    /// again without new bytes returns the same error).
-    pub fn next_frame<T: Message>(&mut self) -> Result<Option<T>, ProtoError> {
-        let payload_len = match self.payload_len {
-            Some(len) => len,
-            None => {
-                if self.buf.len() < HEADER_LEN {
-                    return Ok(None);
-                }
-                let header: [u8; HEADER_LEN] =
-                    self.buf[0..HEADER_LEN].try_into().expect("header bytes");
-                let len = validate_header(&header)?;
-                self.payload_len = Some(len);
-                len
-            }
-        };
-        let end = HEADER_LEN + payload_len;
-        if self.buf.len() < end {
-            return Ok(None);
-        }
-        let message = T::decode_payload(&self.buf[HEADER_LEN..end])?;
-        self.buf.drain(..end);
-        self.payload_len = None;
-        Ok(Some(message))
-    }
-
-    /// Declares end-of-stream: leftover bytes mean the peer closed
-    /// mid-frame ([`ProtoError::Truncated`], matching [`read_frame`]'s
-    /// EOF semantics); an empty buffer is a clean close.
-    pub fn finish(&self) -> Result<(), ProtoError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(ProtoError::Truncated)
-        }
-    }
-}
-
-/// A resumable frame writer for non-blocking sockets: completed response
-/// frames are enqueued whole ([`enqueue`](Self::enqueue)), then drained
-/// with vectored writes ([`write_to`](Self::write_to)) that survive
-/// partial progress — `WouldBlock` parks the remaining bytes until the
-/// reactor reports the socket writable again.
-#[derive(Debug, Default)]
-pub struct FrameWriter {
-    queue: std::collections::VecDeque<Vec<u8>>,
-    /// Bytes of the front frame already written.
-    front_written: usize,
-}
-
-impl FrameWriter {
-    /// Creates an empty writer.
-    pub fn new() -> FrameWriter {
-        FrameWriter::default()
-    }
-
-    /// Whether every enqueued frame has been fully written.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Total unwritten bytes across the queued frames (the bounded
-    /// per-connection write-buffer measure).
-    pub fn pending(&self) -> usize {
-        let total: usize = self.queue.iter().map(|f| f.len()).sum();
-        total - self.front_written
-    }
-
-    /// Encodes a message and appends it to the write queue.
-    pub fn enqueue<T: Serialize>(&mut self, message: &T) -> Result<(), ProtoError> {
-        self.queue.push_back(encode_frame(message)?);
-        Ok(())
-    }
-
-    /// Writes as much queued data as the sink accepts, using vectored
-    /// writes across frame boundaries. Returns `Ok(true)` once the queue
-    /// is drained, `Ok(false)` if the sink would block (resume on the
-    /// next writable event); real I/O errors are typed.
-    pub fn write_to<W: Write>(&mut self, writer: &mut W) -> Result<bool, ProtoError> {
-        while !self.queue.is_empty() {
-            // Up to 8 frames per writev call: the common case is one
-            // response frame, pipelined bursts batch without unbounded
-            // iovec arrays.
-            let mut slices: Vec<std::io::IoSlice<'_>> = Vec::with_capacity(8.min(self.queue.len()));
-            for (i, frame) in self.queue.iter().take(8).enumerate() {
-                let start = if i == 0 { self.front_written } else { 0 };
-                slices.push(std::io::IoSlice::new(&frame[start..]));
-            }
-            let written = match writer.write_vectored(&slices) {
-                Ok(0) => {
-                    return Err(ProtoError::Io {
-                        kind: std::io::ErrorKind::WriteZero,
-                        message: "sink accepted zero bytes".into(),
-                    })
-                }
-                Ok(n) => n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            self.consume(written);
-        }
-        Ok(true)
-    }
-
-    /// Advances the queue past `n` freshly written bytes.
-    fn consume(&mut self, mut n: usize) {
-        while n > 0 {
-            let front_len = self.queue.front().expect("bytes written beyond queue").len();
-            let remaining = front_len - self.front_written;
-            if n < remaining {
-                self.front_written += n;
-                return;
-            }
-            n -= remaining;
-            self.front_written = 0;
-            self.queue.pop_front();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1091,97 +928,5 @@ mod tests {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
         assert!(matches!(decode_frame::<Request>(&frame), Err(ProtoError::Malformed { .. })));
-    }
-
-    #[test]
-    fn incremental_decoder_yields_frames_across_any_chunking() {
-        let a = Request::Pause { seconds: 0.5 };
-        let b = Request::Stats;
-        let mut wire = encode_frame(&a).expect("encode a");
-        wire.extend_from_slice(&encode_frame(&b).expect("encode b"));
-        // Byte-by-byte: every frame appears exactly when its last byte
-        // lands, never earlier.
-        let mut decoder = FrameDecoder::new();
-        let mut seen: Vec<Request> = Vec::new();
-        for byte in &wire {
-            decoder.push(std::slice::from_ref(byte));
-            while let Some(message) = decoder.next_frame::<Request>().expect("clean stream") {
-                seen.push(message);
-            }
-        }
-        assert_eq!(seen, vec![a, b]);
-        decoder.finish().expect("no partial bytes at EOF");
-    }
-
-    #[test]
-    fn incremental_decoder_rejects_bad_header_before_payload() {
-        let mut frame = encode_frame(&Request::Stats).expect("encode");
-        frame[0] = b'X';
-        let mut decoder = FrameDecoder::new();
-        // Push only the header: the error must surface with zero payload
-        // bytes buffered.
-        decoder.push(&frame[..HEADER_LEN]);
-        assert!(matches!(
-            decoder.next_frame::<Request>(),
-            Err(ProtoError::BadMagic { found }) if found[0] == b'X'
-        ));
-        // The error is sticky-deterministic: asking again re-reports it.
-        assert!(matches!(decoder.next_frame::<Request>(), Err(ProtoError::BadMagic { .. })));
-    }
-
-    #[test]
-    fn incremental_decoder_finish_flags_mid_frame_eof() {
-        let frame = encode_frame(&Request::Shutdown).expect("encode");
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&frame[..frame.len() - 1]);
-        assert!(decoder.next_frame::<Request>().expect("still waiting").is_none());
-        assert!(matches!(decoder.finish(), Err(ProtoError::Truncated)));
-    }
-
-    /// A sink that accepts at most `cap` bytes per write call and can be
-    /// told to report `WouldBlock`.
-    struct ThrottledSink {
-        bytes: Vec<u8>,
-        cap: usize,
-        block_next: bool,
-    }
-
-    impl Write for ThrottledSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if self.block_next {
-                self.block_next = false;
-                return Err(std::io::ErrorKind::WouldBlock.into());
-            }
-            let n = buf.len().min(self.cap);
-            self.bytes.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn resumable_writer_survives_partial_writes_and_would_block() {
-        let a = Response::Paused;
-        let b = Response::Busy { depth: 4 };
-        let mut expected = encode_frame(&a).expect("encode a");
-        expected.extend_from_slice(&encode_frame(&b).expect("encode b"));
-
-        let mut writer = FrameWriter::new();
-        writer.enqueue(&a).expect("enqueue a");
-        writer.enqueue(&b).expect("enqueue b");
-        assert_eq!(writer.pending(), expected.len());
-
-        let mut sink = ThrottledSink { bytes: Vec::new(), cap: 3, block_next: false };
-        // First drive: blocks mid-stream, reports not-drained.
-        sink.block_next = true;
-        assert!(!writer.write_to(&mut sink).expect("would-block is not an error"));
-        // Resume until drained; 3-byte writes force many partial steps
-        // across the frame boundary.
-        while !writer.write_to(&mut sink).expect("write") {}
-        assert!(writer.is_empty());
-        assert_eq!(writer.pending(), 0);
-        assert_eq!(sink.bytes, expected, "resumed writes must reassemble the exact byte stream");
     }
 }

@@ -32,7 +32,9 @@
 //! any localize call. A session idle longer than
 //! [`ServerConfig::session_ttl`] is reaped by a background sweep
 //! (counted in [`ServerStats::sessions_reaped`]); clients that outlive a
-//! reap see the typed [`Response::UnknownSession`] and reopen.
+//! reap see the typed [`Response::UnknownSession`] and reopen. The same
+//! sweep performs the opt-in [`ServerConfig::wallclock_quiescence`]
+//! flushes.
 //!
 //! ## Fault tolerance
 //!
@@ -40,6 +42,10 @@
 //!   [`ServerConfig::io_timeout`] on reads and writes, so a wedged or
 //!   vanished peer can hold a connection thread for at most the timeout,
 //!   never forever.
+//! * **Accept failures** — a failed `accept` (say, the process is out of
+//!   file descriptors) is skipped after a short pause; the listener keeps
+//!   serving, and the connection waiting in the backlog is accepted once
+//!   descriptors free up.
 //! * **Panic isolation** — the request handler runs under
 //!   [`std::panic::catch_unwind`]; a poisoned request produces a typed
 //!   [`Response::InternalError`] frame (counted in
@@ -69,41 +75,9 @@ use crate::session::ServiceSession;
 
 /// How long a drain waits for in-flight work before giving up and
 /// returning anyway (a wedged detection must not make drain hang).
-pub(crate) const DRAIN_GRACE: Duration = Duration::from_secs(10);
-
-/// Which accept/read/write engine a [`StppServer`] runs.
-///
-/// Both cores speak the same protocol through the same request-handler
-/// dispatch, so responses are **bit-identical** and
-/// every typed error and counter behaves the same; they differ only in
-/// how connections are multiplexed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerCore {
-    /// Thread-per-connection blocking I/O: simple, sturdy, capped at
-    /// thread-count connection scale.
-    #[default]
-    Blocking,
-    /// Readiness loop over epoll (the vendored `mini-reactor`):
-    /// non-blocking sockets, per-connection framing state machines,
-    /// bounded read/write buffers, and a fixed-size dispatch thread set —
-    /// thread count is independent of connection count.
-    Async,
-}
-
-impl ServerCore {
-    /// The core [`ServerConfig::default`] selects: the
-    /// `STPP_SERVER_CORE` environment variable (`blocking` / `async`)
-    /// when set, otherwise [`ServerCore::Blocking`]. Lets whole test
-    /// suites re-run against the readiness core without code changes —
-    /// the CI `async-core` job sets the variable and re-drives the
-    /// resilience and scenario suites.
-    pub fn from_env() -> ServerCore {
-        match std::env::var("STPP_SERVER_CORE").as_deref() {
-            Ok("async") => ServerCore::Async,
-            _ => ServerCore::Blocking,
-        }
-    }
-}
+const DRAIN_GRACE: Duration = Duration::from_secs(10);
+/// Pause after a failed `accept` before the acceptor tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Configuration of a [`StppServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,14 +88,11 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Read/write timeout applied to every connection socket; `None`
     /// disables it (a wedged peer can then hold its connection thread
-    /// indefinitely — only for trusted loopback tests). The async core
-    /// enforces the same bound as an idle/stuck-write deadline in its
-    /// reactor tick.
+    /// indefinitely — only for trusted loopback tests).
     pub io_timeout: Option<Duration>,
-    /// Idle time after which a streaming session is reaped; `None`
-    /// disables reaping. The blocking core sweeps from a background
-    /// thread, the async core from its reactor timer wheel — same
-    /// cadence, same [`ServerStats::sessions_reaped`] counter.
+    /// Idle time after which a streaming session is reaped by the
+    /// background session sweep (counted in
+    /// [`ServerStats::sessions_reaped`]); `None` disables reaping.
     pub session_ttl: Option<Duration>,
     /// Seed for the non-sequential session ids.
     pub session_seed: u64,
@@ -131,8 +102,6 @@ pub struct ServerConfig {
     /// [`ServerStats::connection_rejections`]); established connections
     /// are unaffected. Clamped to at least 1.
     pub max_connections: usize,
-    /// Which accept/read/write engine to run (see [`ServerCore`]).
-    pub core: ServerCore,
     /// This server's place in a sharded fleet; `None` (the default)
     /// serves every geometry. When set, the server builds the same
     /// consistent-hash ring as every [`FleetClient`](crate::fleet::FleetClient)
@@ -141,17 +110,16 @@ pub struct ServerConfig {
     /// [`Response::Redirect`] naming the owner — a misdirected request
     /// is bounced before admission instead of building cold banks here.
     pub shard: Option<crate::fleet::ShardIdentity>,
-    /// Wall-clock quiescence flushing for streaming sessions (opt-in,
-    /// [`ServerCore::Async`] only: [`StppServer::bind`] rejects it on the
-    /// blocking core with [`std::io::ErrorKind::InvalidInput`]). When
-    /// set, a session untouched for this long has its quiescent tags
-    /// flushed server-side from the reactor timer wheel — so a portal
-    /// whose report *stream* stalls still gets its finished tags
+    /// Wall-clock quiescence flushing for streaming sessions (opt-in).
+    /// When set, a session untouched for this long has its quiescent
+    /// tags flushed server-side by the background session sweep — so a
+    /// portal whose report *stream* stalls still gets its finished tags
     /// localized, even though the session's report-clock never
-    /// advances. Flush outcomes are counted in
-    /// [`ServerStats::wallclock_flushes`]; results surface through the
-    /// warm service cache on the client's next flush. `None` (the
-    /// default) keeps flushing purely client-driven.
+    /// advances. An idle session is flushed at most once per period.
+    /// Flushes are counted in [`ServerStats::wallclock_flushes`];
+    /// results surface through the warm service cache on the client's
+    /// next flush. `None` (the default) keeps flushing purely
+    /// client-driven.
     pub wallclock_quiescence: Option<Duration>,
 }
 
@@ -163,7 +131,6 @@ impl Default for ServerConfig {
             session_ttl: Some(Duration::from_secs(600)),
             session_seed: 0,
             max_connections: 1024,
-            core: ServerCore::from_env(),
             shard: None,
             wallclock_quiescence: None,
         }
@@ -171,66 +138,76 @@ impl Default for ServerConfig {
 }
 
 /// A server-side session slot plus its idle clock.
-pub(crate) struct SessionEntry {
-    pub(crate) inner: Mutex<Option<ServiceSession>>,
+struct SessionEntry {
+    inner: Mutex<Option<ServiceSession>>,
     /// Milliseconds since server start of the last touch, for the TTL
-    /// sweep and the async core's wall-clock quiescence timers.
-    pub(crate) last_touch_ms: AtomicU64,
+    /// and wall-clock quiescence sweeps.
+    last_touch_ms: AtomicU64,
     /// Milliseconds since server start of the last wall-clock quiescence
-    /// flush, so the reactor's scan neither re-queues a flush already in
-    /// flight nor lets flushing reset the TTL idle clock.
-    pub(crate) last_flush_ms: AtomicU64,
+    /// flush, so an idle session is flushed once per period rather than
+    /// on every sweep, and flushing never resets the TTL idle clock.
+    last_flush_ms: AtomicU64,
 }
 
-/// State shared by the acceptor and every connection thread (blocking
-/// core) or the reactor and its dispatch threads (async core).
-pub(crate) struct ServerState {
-    pub(crate) service: Arc<LocalizationService>,
-    pub(crate) queue_depth: usize,
-    pub(crate) io_timeout: Option<Duration>,
-    pub(crate) session_ttl: Option<Duration>,
-    pub(crate) session_seed: u64,
-    pub(crate) max_connections: usize,
+/// State shared by the acceptor, the session sweep and every connection
+/// thread.
+struct ServerState {
+    service: Arc<LocalizationService>,
+    queue_depth: usize,
+    io_timeout: Option<Duration>,
+    session_ttl: Option<Duration>,
+    session_seed: u64,
+    max_connections: usize,
     /// The fleet ring plus this server's own shard index, when sharded
     /// (built once at bind from [`ServerConfig::shard`]).
-    pub(crate) shard: Option<(crate::fleet::ShardRouter, u32)>,
-    pub(crate) wallclock_quiescence: Option<Duration>,
-    pub(crate) started: Instant,
-    pub(crate) sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
-    pub(crate) next_session: AtomicU64,
-    pub(crate) in_flight: AtomicUsize,
-    pub(crate) busy_rejections: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) connections: AtomicU64,
-    pub(crate) connections_open: AtomicU64,
-    pub(crate) connection_rejections: AtomicU64,
-    pub(crate) wallclock_flushes: AtomicU64,
-    pub(crate) sessions_reaped: AtomicU64,
-    pub(crate) internal_errors: AtomicU64,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) draining: AtomicBool,
+    shard: Option<(crate::fleet::ShardRouter, u32)>,
+    wallclock_quiescence: Option<Duration>,
+    started: Instant,
+    sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
+    next_session: AtomicU64,
+    in_flight: AtomicUsize,
+    busy_rejections: AtomicU64,
+    requests: AtomicU64,
+    connections: AtomicU64,
+    connections_open: AtomicU64,
+    connection_rejections: AtomicU64,
+    wallclock_flushes: AtomicU64,
+    sessions_reaped: AtomicU64,
+    internal_errors: AtomicU64,
+    shutdown: AtomicBool,
+    draining: AtomicBool,
     /// Live connection sockets, so [`ServerHandle::kill`] can tear them
     /// down abruptly (the crash drill).
-    pub(crate) conns: Mutex<HashMap<u64, TcpStream>>,
-    pub(crate) next_conn: AtomicU64,
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
 }
 
 /// An RAII connection-gauge increment; dropping it marks the connection
 /// closed however the serving loop exits.
-pub(crate) struct ConnGauge<'a>(&'a ServerState);
+struct ConnGauge<'a>(&'a ServerState);
 
 impl<'a> ConnGauge<'a> {
-    /// Claims a connection slot, or counts + reports the rejection.
-    pub(crate) fn try_open(state: &'a ServerState) -> Option<ConnGauge<'a>> {
-        // `then`, not `then_some`: an eagerly built gauge would run its
-        // Drop (a decrement) on the rejection path.
-        state.try_open_connection().then(|| ConnGauge(state))
+    /// Claims a connection slot against [`ServerConfig::max_connections`],
+    /// or counts the rejection when full.
+    fn try_open(state: &'a ServerState) -> Option<ConnGauge<'a>> {
+        let opened = state
+            .connections_open
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < state.max_connections as u64).then_some(n + 1)
+            })
+            .is_ok();
+        if !opened {
+            state.connection_rejections.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        state.connections.fetch_add(1, Ordering::Relaxed);
+        Some(ConnGauge(state))
     }
 }
 
 impl Drop for ConnGauge<'_> {
     fn drop(&mut self) {
-        self.0.close_connection();
+        self.0.connections_open.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -245,31 +222,6 @@ impl Drop for AdmissionSlot<'_> {
 }
 
 impl ServerState {
-    /// Claims a connection slot against [`ServerConfig::max_connections`],
-    /// counting the rejection when full. The blocking core wraps this in
-    /// the RAII [`ConnGauge`]; the reactor pairs it manually with
-    /// [`close_connection`](Self::close_connection) because its
-    /// connections live in a map, not a stack frame.
-    pub(crate) fn try_open_connection(&self) -> bool {
-        let opened = self
-            .connections_open
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.max_connections as u64).then_some(n + 1)
-            })
-            .is_ok();
-        if opened {
-            self.connections.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.connection_rejections.fetch_add(1, Ordering::Relaxed);
-        }
-        opened
-    }
-
-    /// Releases a slot claimed by [`try_open_connection`](Self::try_open_connection).
-    pub(crate) fn close_connection(&self) {
-        self.connections_open.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Tries to occupy one admission slot.
     fn try_admit(&self) -> Option<AdmissionSlot<'_>> {
         let admitted = self
@@ -286,7 +238,7 @@ impl ServerState {
         }
     }
 
-    pub(crate) fn uptime_ms(&self) -> u64 {
+    fn uptime_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
 
@@ -329,8 +281,8 @@ impl ServerState {
         (owner != *me).then_some(owner as u64)
     }
 
-    /// Removes every session idle longer than the TTL; returns the count.
-    pub(crate) fn reap_idle_sessions(&self, ttl: Duration) -> u64 {
+    /// Removes every session idle longer than the TTL.
+    fn reap_idle_sessions(&self, ttl: Duration) {
         let now_ms = self.uptime_ms();
         let ttl_ms = ttl.as_millis() as u64;
         let mut table = self.sessions.lock().expect("session table poisoned");
@@ -342,12 +294,47 @@ impl ServerState {
         if reaped > 0 {
             self.sessions_reaped.fetch_add(reaped, Ordering::Relaxed);
         }
-        reaped
+    }
+
+    /// Flushes the quiescent tags of every session untouched — by a
+    /// request or by an earlier flush — for at least `period`. Each flush
+    /// runs under [`catch_unwind`], so a panicking detection costs that
+    /// one flush, not the sweep thread. Outcomes are discarded (no client
+    /// asked); the localized batch still warmed the service cache and
+    /// left the session, exactly like a drain-time flush.
+    fn flush_idle_sessions(&self, period: Duration) {
+        let now_ms = self.uptime_ms();
+        let period_ms = period.as_millis() as u64;
+        let due: Vec<Arc<SessionEntry>> = self
+            .sessions
+            .lock()
+            .expect("session table poisoned")
+            .values()
+            .filter(|entry| {
+                let last = entry
+                    .last_touch_ms
+                    .load(Ordering::Relaxed)
+                    .max(entry.last_flush_ms.load(Ordering::Relaxed));
+                now_ms.saturating_sub(last) >= period_ms
+            })
+            .cloned()
+            .collect();
+        for entry in due {
+            entry.last_flush_ms.store(now_ms, Ordering::Relaxed);
+            let flushed = catch_unwind(AssertUnwindSafe(|| {
+                let mut guard = entry.inner.lock().expect("session poisoned");
+                guard.as_mut().map(|active| active.flush_quiescent()).is_some()
+            }))
+            .unwrap_or(false);
+            if flushed {
+                self.wallclock_flushes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Drains every remaining session's quiescent tags (drain-time
     /// best-effort flush; outcomes have no client to go to).
-    pub(crate) fn flush_all_sessions(&self) {
+    fn flush_all_sessions(&self) {
         let entries: Vec<Arc<SessionEntry>> =
             self.sessions.lock().expect("session table poisoned").drain().map(|(_, e)| e).collect();
         for entry in entries {
@@ -362,7 +349,6 @@ impl ServerState {
 /// A bound, not-yet-serving STPP TCP server (see the module docs).
 pub struct StppServer {
     listener: TcpListener,
-    core: ServerCore,
     state: Arc<ServerState>,
 }
 
@@ -411,26 +397,15 @@ impl StppServer {
     ///
     /// # Errors
     ///
-    /// [`std::io::ErrorKind::InvalidInput`] when the configuration asks
-    /// for [`ServerConfig::wallclock_quiescence`] on the blocking core,
-    /// which does not implement it; otherwise any error of binding the
-    /// listener.
+    /// Any error of binding the listener.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<LocalizationService>,
         config: ServerConfig,
     ) -> std::io::Result<StppServer> {
-        if config.wallclock_quiescence.is_some() && config.core != ServerCore::Async {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "ServerConfig::wallclock_quiescence needs ServerCore::Async: the blocking core \
-                 never flushes a stalled session",
-            ));
-        }
         let listener = TcpListener::bind(addr)?;
         Ok(StppServer {
             listener,
-            core: config.core,
             state: Arc::new(ServerState {
                 service,
                 queue_depth: config.queue_depth.max(1),
@@ -460,40 +435,35 @@ impl StppServer {
         })
     }
 
-    /// The core this server will run (from its configuration).
-    pub fn core(&self) -> ServerCore {
-        self.core
-    }
-
     /// The bound address.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// Serves connections until a client sends [`Request::Shutdown`] or
-    /// [`Request::Drain`]; blocks until then. Which engine multiplexes
-    /// the connections is [`ServerConfig::core`]: thread-per-connection
-    /// blocking I/O, or the epoll readiness loop. A drain additionally
-    /// waits for in-flight work (bounded by an internal grace period)
-    /// and flushes every open session before returning.
+    /// Serves connections, one thread each, until a client sends
+    /// [`Request::Shutdown`] or [`Request::Drain`]; blocks until then. A
+    /// drain additionally waits for in-flight work (bounded by an
+    /// internal grace period) and flushes every open session before
+    /// returning.
+    ///
+    /// # Errors
+    ///
+    /// Only an error reading the listener's own address; a failed
+    /// `accept` is skipped and the listener keeps serving.
     pub fn serve(self) -> std::io::Result<()> {
-        match self.core {
-            ServerCore::Blocking => self.serve_blocking(),
-            ServerCore::Async => crate::reactor::serve_async(self.listener, self.state),
-        }
-    }
-
-    /// The thread-per-connection blocking engine.
-    fn serve_blocking(self) -> std::io::Result<()> {
         let local_addr = self.listener.local_addr()?;
-        if let Some(ttl) = self.state.session_ttl {
-            spawn_session_reaper(Arc::clone(&self.state), ttl);
-        }
+        spawn_session_sweeper(Arc::clone(&self.state));
         for stream in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = stream?;
+            let Ok(stream) = stream else {
+                // Transient (out of descriptors, a peer that reset while
+                // queued): the pending connection stays in the backlog,
+                // so pause instead of spinning, then accept again.
+                thread::sleep(ACCEPT_RETRY);
+                continue;
+            };
             let state = self.state.clone();
             thread::spawn(move || handle_connection(&state, stream, local_addr));
         }
@@ -520,16 +490,30 @@ impl StppServer {
     }
 }
 
-/// Background sweep removing idle sessions. Exits when the server shuts
-/// down; ticks often enough that a session outlives its TTL by at most
-/// ~a quarter of it (floor 10 ms, cap 250 ms so shutdown lag stays
-/// small).
-fn spawn_session_reaper(state: Arc<ServerState>, ttl: Duration) {
-    let tick = (ttl / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
+/// Starts the background session sweep when [`ServerConfig::session_ttl`]
+/// or [`ServerConfig::wallclock_quiescence`] is set. Each tick reaps the
+/// sessions idle past the TTL, then flushes the sessions idle for the
+/// quiescence period; the thread exits when the server shuts down. It
+/// ticks at the shorter of the two settings' cadences — a quarter of the
+/// setting, floor 10 ms, cap 250 ms so shutdown lag stays small — so a
+/// session outlives its TTL, or waits for its flush, by about a quarter
+/// of the setting at most, plus the time the tick's earlier flushes take.
+fn spawn_session_sweeper(state: Arc<ServerState>) {
+    let cadence =
+        |d: Duration| (d / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
+    let settings = state.session_ttl.into_iter().chain(state.wallclock_quiescence);
+    let Some(tick) = settings.map(cadence).min() else {
+        return;
+    };
     thread::spawn(move || {
         while !state.shutdown.load(Ordering::SeqCst) {
             thread::sleep(tick);
-            state.reap_idle_sessions(ttl);
+            if let Some(ttl) = state.session_ttl {
+                state.reap_idle_sessions(ttl);
+            }
+            if let Some(period) = state.wallclock_quiescence {
+                state.flush_idle_sessions(period);
+            }
         }
     });
 }
@@ -567,17 +551,15 @@ fn handle_connection(state: &ServerState, stream: TcpStream, local_addr: SocketA
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(state.io_timeout);
     let _ = stream.set_write_timeout(state.io_timeout);
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
     // Register the socket so a kill() can cut this connection loose even
     // while it blocks in read.
     let conn_id = state.next_conn.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = stream.try_clone() {
         state.conns.lock().expect("connection table poisoned").insert(conn_id, clone);
     }
-    let mut writer = BufWriter::new(stream);
+    // Reads and writes share the one descriptor through `&TcpStream`.
+    let mut reader = &stream;
+    let mut writer = BufWriter::new(&stream);
     loop {
         let request = match read_frame::<_, Request>(&mut reader) {
             Ok(Some(request)) => request,
@@ -607,7 +589,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, local_addr: SocketA
 }
 
 /// Best-effort rendering of a panic payload for the wire.
-pub(crate) fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -617,10 +599,8 @@ pub(crate) fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The single request dispatch **both** cores run — one `match`, so the
-/// readiness core cannot drift from the blocking core's responses,
-/// typed errors, admission (`Busy`) semantics, or counters.
-pub(crate) fn handle_request(state: &ServerState, request: Request) -> Response {
+/// Answers one request.
+fn handle_request(state: &ServerState, request: Request) -> Response {
     match request {
         Request::Localize { input, threads } => {
             // Ownership gate before admission: a bounced request must

@@ -3,19 +3,21 @@
 //! Three contracts:
 //!
 //! 1. **Round trip** — `decode(encode(frame)) == frame` for arbitrary
-//!    valid request/response frames (floats bit-exact).
+//!    valid request/response frames (floats bit-exact), whether the bytes
+//!    arrive whole or in arbitrary short reads.
 //! 2. **No panics on hostile bytes** — truncated or corrupted frames
 //!    yield a typed [`ProtoError`], never a panic.
 //! 3. **Wire transparency** — a client/server round trip over localhost
 //!    returns results bit-identical to the in-process service (and the
 //!    sequential pipeline) for pool worker counts 1, 2, and 4.
 
+use std::io::Read;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use stpp_core::{PhaseProfile, RelativeLocalizer, StppInput, TagObservations};
 use stpp_serve::proto::{
-    decode_frame, encode_frame, encode_localize_request_into, FrameDecoder, Request, Response,
+    decode_frame, encode_frame, encode_localize_request_into, read_frame, Request, Response,
     ServerStats, WireReport,
 };
 use stpp_serve::{
@@ -179,7 +181,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental decoding: the async core's framing state machine
+// Stream decoding: `read_frame` over short reads
 // ---------------------------------------------------------------------------
 
 /// Whole-buffer reference decode: every frame in `bytes`, or the first
@@ -194,131 +196,141 @@ fn decode_all_whole(mut bytes: &[u8]) -> Result<Vec<Request>, String> {
     Ok(out)
 }
 
-/// Incremental decode, fed in the chunks delimited by `splits`
-/// (positions into `bytes`); `finish` asserts no partial frame remains.
-fn decode_all_incremental(bytes: &[u8], splits: &[usize]) -> Result<Vec<Request>, String> {
-    let mut decoder = FrameDecoder::new();
-    let mut out = Vec::new();
-    let mut consumed = 0;
-    for &split in splits {
-        decoder.push(&bytes[consumed..split]);
-        consumed = split;
-        while let Some(request) = decoder.next_frame::<Request>().map_err(|e| format!("{e:?}"))? {
-            out.push(request);
-        }
+/// A reader that hands out `bytes` in the pieces delimited by `splits`
+/// (sorted positions into `bytes`): no `read` call crosses a split, so
+/// [`read_frame`] meets every short read the splits describe, inside the
+/// header as well as inside the payload.
+struct ChunkedReader<'a> {
+    bytes: &'a [u8],
+    splits: &'a [usize],
+    pos: usize,
+}
+
+impl Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let next = self.splits.partition_point(|&split| split <= self.pos);
+        let boundary = self.splits.get(next).copied().unwrap_or(self.bytes.len());
+        let n = (boundary - self.pos).min(buf.len());
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
-    decoder.push(&bytes[consumed..]);
-    while let Some(request) = decoder.next_frame::<Request>().map_err(|e| format!("{e:?}"))? {
+}
+
+/// Stream decode with [`read_frame`], fed in the chunks delimited by
+/// `splits`, until a clean EOF or the first typed error.
+fn decode_all_chunked(bytes: &[u8], splits: &[usize]) -> Result<Vec<Request>, String> {
+    let mut reader = ChunkedReader { bytes, splits, pos: 0 };
+    let mut out = Vec::new();
+    while let Some(request) = read_frame::<_, Request>(&mut reader).map_err(|e| format!("{e:?}"))? {
         out.push(request);
     }
-    decoder.finish().map_err(|e| format!("{e:?}"))?;
     Ok(out)
+}
+
+/// The frames of `requests`, back to back.
+fn encode_all(requests: &[Request]) -> Vec<u8> {
+    requests.iter().flat_map(|request| encode_frame(request).expect("encode")).collect()
+}
+
+/// Sorted split positions into a buffer of `len` bytes.
+fn sorted_splits(raw: &[prop::sample::Index], len: usize) -> Vec<usize> {
+    let mut splits: Vec<usize> = raw.iter().map(|ix| ix.index(len + 1)).collect();
+    splits.sort_unstable();
+    splits
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The async core's incremental [`FrameDecoder`] must be a pure
-    /// re-chunking of the whole-buffer decode: same frames out for
-    /// byte-by-byte feeding and for arbitrary chunk boundaries.
+    /// [`read_frame`] over short reads must be a pure re-chunking of the
+    /// whole-buffer decode: same frames out for byte-by-byte reads and for
+    /// arbitrary chunk boundaries.
     #[test]
-    fn incremental_decode_is_chunking_invariant(
+    fn read_frame_is_chunking_invariant(
         requests in prop::collection::vec(arb_request(), 1..4),
         raw_splits in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
     ) {
-        let mut bytes = Vec::new();
-        for request in &requests {
-            bytes.extend_from_slice(&encode_frame(request).expect("encode"));
-        }
+        let bytes = encode_all(&requests);
         let whole = decode_all_whole(&bytes).expect("valid frames decode");
         prop_assert_eq!(&whole, &requests);
 
         // Byte-by-byte: the worst-case trickle.
         let every_byte: Vec<usize> = (1..bytes.len()).collect();
         prop_assert_eq!(
-            decode_all_incremental(&bytes, &every_byte).expect("byte-by-byte"),
+            decode_all_chunked(&bytes, &every_byte).expect("byte-by-byte"),
             whole.clone()
         );
 
         // Arbitrary chunk boundaries.
-        let mut splits: Vec<usize> =
-            raw_splits.iter().map(|ix| ix.index(bytes.len() + 1)).collect();
-        splits.sort_unstable();
-        prop_assert_eq!(
-            decode_all_incremental(&bytes, &splits).expect("chunked"),
-            whole
-        );
+        let splits = sorted_splits(&raw_splits, bytes.len());
+        prop_assert_eq!(decode_all_chunked(&bytes, &splits).expect("chunked"), whole);
     }
 
     /// Corrupted streams must yield the *same* typed error (or the same
     /// successfully re-interpreted frames — some flips only touch float
-    /// payload bits) from the incremental decoder as from the
-    /// whole-buffer decode, at any chunking.
+    /// payload bits) from [`read_frame`] as from the whole-buffer decode,
+    /// byte-by-byte or in one piece.
     #[test]
-    fn incremental_decode_errors_match_whole_buffer_errors(
+    fn read_frame_errors_match_whole_buffer_errors(
         requests in prop::collection::vec(arb_request(), 1..3),
         offset in any::<prop::sample::Index>(),
         xor in 1u8..=255,
     ) {
-        let mut bytes = Vec::new();
-        for request in &requests {
-            bytes.extend_from_slice(&encode_frame(request).expect("encode"));
-        }
+        let mut bytes = encode_all(&requests);
         let i = offset.index(bytes.len());
         bytes[i] ^= xor;
 
         let whole = decode_all_whole(&bytes);
         let every_byte: Vec<usize> = (1..bytes.len()).collect();
         prop_assert_eq!(
-            decode_all_incremental(&bytes, &every_byte),
+            decode_all_chunked(&bytes, &every_byte),
             whole.clone(),
             "byte-by-byte must agree with whole-buffer on corrupted input"
         );
         prop_assert_eq!(
-            decode_all_incremental(&bytes, &[]),
+            decode_all_chunked(&bytes, &[]),
             whole,
-            "single-push must agree with whole-buffer on corrupted input"
+            "one piece must agree with whole-buffer on corrupted input"
         );
     }
 
-    /// A strict prefix of a valid stream decodes the complete frames and
-    /// flags the tail as a typed truncation — never a panic, never a
+    /// A strict prefix of a valid stream, read in arbitrary chunks,
+    /// decodes the complete frames and then ends in a clean EOF exactly
+    /// when the cut lands on a frame boundary, and in
+    /// [`ProtoError::Truncated`] otherwise — never a panic, never a
     /// phantom frame.
     #[test]
-    fn incremental_decode_flags_truncated_tails(
+    fn read_frame_flags_truncated_tails(
         requests in prop::collection::vec(arb_request(), 1..3),
         cut in 0.0f64..1.0,
+        raw_splits in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
     ) {
-        let mut bytes = Vec::new();
-        for request in &requests {
-            bytes.extend_from_slice(&encode_frame(request).expect("encode"));
-        }
+        let bytes = encode_all(&requests);
         let len = (((bytes.len() - 1) as f64) * cut) as usize;
-        let prefix = &bytes[..len];
-
-        let mut decoder = FrameDecoder::new();
-        decoder.push(prefix);
+        let splits = sorted_splits(&raw_splits, len);
+        let mut reader = ChunkedReader { bytes: &bytes[..len], splits: &splits, pos: 0 };
         let mut decoded = 0usize;
+        let mut boundary = 0usize;
         loop {
-            match decoder.next_frame::<Request>() {
+            match read_frame::<_, Request>(&mut reader) {
                 Ok(Some(request)) => {
                     prop_assert_eq!(&request, &requests[decoded]);
+                    boundary += encode_frame(&request).expect("encode").len();
                     decoded += 1;
                 }
-                Ok(None) => break,
-                // A cut can land so that the tail *starts* looking like a
-                // frame but dies in the header; any typed error is fine.
-                Err(_) => return Ok(()),
+                Ok(None) => {
+                    prop_assert_eq!(boundary, len, "clean EOF away from a frame boundary");
+                    break;
+                }
+                Err(ProtoError::Truncated) => {
+                    prop_assert!(boundary < len, "a truncation needs a partial tail");
+                    break;
+                }
+                Err(other) => prop_assert!(false, "a strict prefix ended in {other:?}"),
             }
         }
-        if decoder.buffered() > 0 {
-            prop_assert!(decoder.finish().is_err(), "a partial tail must flag truncation");
-        } else {
-            // The cut landed exactly on a frame boundary: everything fed
-            // decoded cleanly (0..=all of the frames).
-            prop_assert!(decoder.finish().is_ok());
-            prop_assert!(decoded <= requests.len());
-        }
+        prop_assert!(decoded < requests.len(), "a strict prefix decoded every frame");
     }
 }
 

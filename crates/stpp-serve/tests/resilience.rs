@@ -1,5 +1,6 @@
 //! Fault-tolerance integration tests: deadlines, retry budgets, the
-//! circuit breaker, drain/health, panic isolation, session reaping, and
+//! circuit breaker, drain/health, panic isolation, the connection limit,
+//! accept failures, session reaping, wall-clock quiescence flushes, and
 //! crash-recovery replay.
 //!
 //! Every hostile peer here is a plain TCP socket doing something a real
@@ -13,10 +14,11 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use stpp_core::{PhaseProfile, RelativeLocalizer, StppConfig, StppInput, TagObservations};
+use stpp_serve::proto::{read_frame, write_frame};
 use stpp_serve::{
-    ClientError, FailureKind, FleetClient, LocalizationService, ResilientClient, ResilientError,
-    ResilientSession, RetryPolicy, ServerConfig, SessionGeometry, ShardIdentity, StppClient,
-    StppServer, WireReport,
+    ClientError, FailureKind, FleetClient, LocalizationService, Request, ResilientClient,
+    ResilientError, ResilientSession, Response, RetryPolicy, ServerConfig, SessionGeometry,
+    ShardIdentity, StppClient, StppServer, WireReport,
 };
 
 fn synthetic_input(tag_xs: &[f64], d_perp: f64, mu: f64) -> StppInput {
@@ -273,6 +275,111 @@ fn poisoned_request_is_isolated_and_the_server_survives() {
     handle.join().expect("server exits");
 }
 
+/// Over-limit connections get the typed [`Response::TooManyConnections`]
+/// frame, and the rejection shows up in the health counters while
+/// established connections keep working.
+#[test]
+fn connection_limit_rejects_with_a_typed_frame() {
+    let service = LocalizationService::with_defaults();
+    let config = ServerConfig { max_connections: 2, ..ServerConfig::default() };
+    let server = StppServer::bind("127.0.0.1:0", service, config).expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+
+    let mut first = StppClient::connect(addr).expect("first");
+    let mut second = StppClient::connect(addr).expect("second");
+    // Round-trips prove both slots are established server-side.
+    first.health().expect("first health");
+    second.health().expect("second health");
+
+    let mut rejected = TcpStream::connect(addr).expect("third connect");
+    rejected.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    match read_frame::<_, Response>(&mut rejected).expect("rejection frame") {
+        Some(Response::TooManyConnections { limit }) => assert_eq!(limit, 2),
+        other => panic!("expected TooManyConnections, got {other:?}"),
+    }
+
+    // Established connections are unaffected, and the health report
+    // carries both gauge and rejection counter.
+    let health = first.health().expect("health after rejection");
+    assert_eq!(health.connections_open, 2, "both admitted connections are open");
+    assert!(health.connection_rejections >= 1, "the rejection must be counted");
+
+    first.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+}
+
+/// Marks the re-executed test binary that runs the body of
+/// [`acceptor_survives_a_failed_accept`] under a low descriptor limit.
+#[cfg(unix)]
+const ACCEPT_ERROR_CHILD: &str = "STPP_ACCEPT_ERROR_CHILD";
+
+/// A failed `accept` must not end `serve()`: the acceptor skips it, and a
+/// connection that queued while descriptors ran out is answered once they
+/// are free again. The body runs in a child process whose descriptor
+/// limit (`ulimit -n`, the child's alone) is low enough to fill.
+#[cfg(unix)]
+#[test]
+fn acceptor_survives_a_failed_accept() {
+    if std::env::var_os(ACCEPT_ERROR_CHILD).is_some() {
+        return accept_error_child();
+    }
+    let name = "acceptor_survives_a_failed_accept";
+    let out = std::process::Command::new("sh")
+        .args(["-c", "ulimit -n 64 && exec \"$0\" \"$@\""])
+        .arg(std::env::current_exe().expect("test binary path"))
+        .args([name, "--exact", "--test-threads", "1"])
+        .env(ACCEPT_ERROR_CHILD, "1")
+        .output()
+        .expect("spawn the descriptor-limited child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "child failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The child's half of [`acceptor_survives_a_failed_accept`].
+#[cfg(unix)]
+fn accept_error_child() {
+    let service = LocalizationService::with_defaults();
+    let server = StppServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+
+    // Fill the descriptor table, then free one slot for the client's
+    // socket: the connection queues in the backlog with no descriptor
+    // left for the acceptor.
+    let mut held = Vec::new();
+    let full = loop {
+        match std::fs::File::open("/dev/null") {
+            Ok(file) if held.len() < 4096 => held.push(file),
+            Ok(_) => panic!("the descriptor limit never ran out"),
+            Err(error) => break error,
+        }
+    };
+    assert_eq!(full.raw_os_error(), Some(24), "expected EMFILE, got {full}");
+    held.pop();
+    let mut stream = TcpStream::connect(addr).expect("connect with the last descriptor");
+    assert!(std::fs::File::open("/dev/null").is_err(), "the table must be full again");
+    write_frame(&mut stream, &Request::Health).expect("send health");
+    // Give the acceptor time to fail on the queued connection, more than
+    // once; then free the descriptors.
+    std::thread::sleep(Duration::from_millis(200));
+    drop(held);
+
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    match read_frame::<_, Response>(&mut stream) {
+        Ok(Some(Response::Health { report })) => assert!(report.connections_open >= 1),
+        other => panic!("the queued connection must be answered, got {other:?}"),
+    }
+    let mut client = StppClient::connect(addr).expect("the listener is still up");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("serve() returns Ok after the failed accepts");
+}
+
 #[test]
 fn idle_sessions_are_reaped_after_their_ttl() {
     let service = LocalizationService::with_defaults();
@@ -300,6 +407,75 @@ fn idle_sessions_are_reaped_after_their_ttl() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server exits");
+}
+
+/// A session whose report *stream* stalls still gets its quiescent tags
+/// flushed by wall clock, from the session sweep — no client flush call
+/// involved. The sweep runs with and without a session TTL beside it.
+#[test]
+fn wallclock_quiescence_flushes_a_stalled_session() {
+    let input = synthetic_input(&[0.6, 1.1], 0.3, 0.8);
+    let geometry = SessionGeometry {
+        nominal_speed_mps: input.nominal_speed_mps,
+        wavelength_m: input.wavelength_m,
+        perpendicular_distance_m: input.perpendicular_distance_m,
+    };
+    for session_ttl in [ServerConfig::default().session_ttl, None] {
+        let service = LocalizationService::with_defaults();
+        let config = ServerConfig {
+            session_ttl,
+            wallclock_quiescence: Some(Duration::from_millis(50)),
+            ..ServerConfig::default()
+        };
+        let server = StppServer::bind("127.0.0.1:0", service, config).expect("bind");
+        let handle = server.spawn().expect("spawn");
+
+        let mut client = StppClient::connect(handle.addr()).expect("connect");
+        let session = client.open_session(geometry, None).expect("open");
+        // Both tags' full profiles, then a lone clock-pusher report far in
+        // the future: by *report* clock the two tags are quiescent, but
+        // the client never calls flush — its stream just stops.
+        let samples_per_tag = input.observations[0].profile.len();
+        for i in 0..samples_per_tag {
+            let reports: Vec<WireReport> = input
+                .observations
+                .iter()
+                .map(|obs| {
+                    let s = obs.profile.samples()[i];
+                    WireReport {
+                        epc_serial: obs.epc.serial(),
+                        time_s: s.time_s,
+                        phase_rad: s.phase_rad,
+                    }
+                })
+                .collect();
+            client.ingest(session, &reports).expect("ingest");
+        }
+        client
+            .ingest(session, &[WireReport { epc_serial: 999, time_s: 60.0, phase_rad: 0.0 }])
+            .expect("clock pusher");
+
+        // The stall. The session sweep must flush server-side.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (_service_stats, server_stats) = client.stats().expect("stats");
+            if server_stats.wallclock_flushes >= 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "wall-clock flush never happened ({session_ttl:?})");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        // The flushed batch ran real localization on the service.
+        let (service_stats, _server_stats) = client.stats().expect("stats");
+        assert!(service_stats.session_batches >= 1, "the flush must have localized a batch");
+        // The session itself is still alive for the client.
+        client
+            .ingest(session, &[WireReport { epc_serial: 999, time_s: 61.0, phase_rad: 0.1 }])
+            .expect("session survives the server-side flush");
+
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server exits");
+    }
 }
 
 #[test]

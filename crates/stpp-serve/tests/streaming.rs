@@ -6,16 +6,16 @@
 //! path no matter how the report stream was sliced on its way in —
 //! one report at a time, arbitrary bursts, or the whole stream at once
 //! — no matter how often provisional orderings were polled in between,
-//! for any detection thread count, and over the wire under either
-//! server core. This file states that property directly.
+//! for any detection thread count, and over the wire. This file states
+//! that property directly.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use stpp_core::{BatchLocalizer, PhaseProfile, StppConfig, StppInput, TagObservations};
 use stpp_serve::{
-    FlushReply, LocalizationService, ServerConfig, ServerCore, ServiceConfig, SessionGeometry,
-    StppClient, StppServer, WireReport,
+    FlushReply, LocalizationService, ServerConfig, ServiceConfig, SessionGeometry, StppClient,
+    StppServer, WireReport,
 };
 
 /// One simulated reader report: `(epc serial, time, phase)`.
@@ -155,10 +155,10 @@ fn stream_over_wire(
 
 /// The wire streaming path — `OpenSession` / `IngestReports` /
 /// `Provisional` / finishing `FlushSession` — yields the batch result
-/// bit-identically under both server cores, for different burst sizes
-/// and detection thread counts.
+/// bit-identically for different burst sizes and detection thread
+/// counts.
 #[test]
-fn wire_streaming_is_identical_across_server_cores_and_burst_sizes() {
+fn wire_streaming_is_identical_across_burst_sizes_and_thread_counts() {
     let tag_xs = [1.4, 0.6, 1.0];
     let reports = report_stream(&tag_xs, 0.3, 0.8);
     let input = batch_input(&tag_xs, 0.3, &reports);
@@ -166,23 +166,21 @@ fn wire_streaming_is_identical_across_server_cores_and_burst_sizes() {
         BatchLocalizer::new(StppConfig::default(), 1).localize(&input).expect("batch reference");
     let geometry = geometry_of(&input);
 
-    for core in [ServerCore::Blocking, ServerCore::Async] {
-        for threads in [1usize, 2] {
-            let service =
-                LocalizationService::new(ServiceConfig { threads, ..ServiceConfig::default() });
-            let config = ServerConfig { core, ..ServerConfig::default() };
-            let server = StppServer::bind("127.0.0.1:0", service, config).expect("bind");
-            let handle = server.spawn().expect("spawn");
-            let mut client = StppClient::connect(handle.addr()).expect("connect");
-            for chunk in [1usize, 113, reports.len()] {
-                let result = stream_over_wire(&mut client, geometry, &reports, chunk);
-                assert_eq!(
-                    result, reference,
-                    "wire streaming diverged (core {core:?}, threads {threads}, burst {chunk})"
-                );
-            }
-            client.shutdown().expect("shutdown");
-            handle.join().expect("server exits");
+    for threads in [1usize, 2] {
+        let service =
+            LocalizationService::new(ServiceConfig { threads, ..ServiceConfig::default() });
+        let server =
+            StppServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind");
+        let handle = server.spawn().expect("spawn");
+        let mut client = StppClient::connect(handle.addr()).expect("connect");
+        for chunk in [1usize, 113, reports.len()] {
+            let result = stream_over_wire(&mut client, geometry, &reports, chunk);
+            assert_eq!(
+                result, reference,
+                "wire streaming diverged (threads {threads}, burst {chunk})"
+            );
         }
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server exits");
     }
 }
