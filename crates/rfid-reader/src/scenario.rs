@@ -354,10 +354,11 @@ impl ScenarioBuilder {
     }
 
     /// Builds the tag-moving scenario: the antenna stays fixed and the tags
-    /// of `layout` ride a conveyor belt along +X. The layout's X coordinate
-    /// becomes the tag's longitudinal position on the belt (larger X =
-    /// farther back = passes the antenna later) and its Y coordinate the
-    /// lateral offset across the belt.
+    /// of `layout` ride a conveyor belt along +X, all starting upstream of
+    /// the antenna. The layout's X coordinate becomes the tag's
+    /// longitudinal position on the belt (larger X = farther downstream =
+    /// nearer the antenna at t = 0, so it passes the antenna *earlier*)
+    /// and its Y coordinate the lateral offset across the belt.
     ///
     /// Returns `None` if the layout is empty.
     pub fn conveyor(&self, layout: &TagLayout, params: ConveyorParams) -> Option<Scenario> {

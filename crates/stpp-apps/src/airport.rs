@@ -147,10 +147,10 @@ impl BaggageSimulation {
 
     /// Orders one batch with STPP and scores it.
     ///
-    /// Note on the belt direction: a bag placed further back on the belt
-    /// (larger layout X) passes the antenna *later*, and STPP orders bags by
-    /// the time they pass — so the detected X order is compared directly
-    /// against the layout order.
+    /// Note on the belt direction: a bag with a larger layout X starts
+    /// nearer the antenna and passes it *earlier*, and STPP orders bags by
+    /// the time they pass — so the detected X order is reversed before it
+    /// is compared against the layout order.
     pub fn order_batch(&self, batch: &BaggageBatch, recording: &SweepRecording) -> BatchResult {
         let started = std::time::Instant::now();
         let result = RelativeLocalizer::new(self.stpp).localize_recording(recording);
@@ -159,10 +159,11 @@ impl BaggageSimulation {
     }
 
     /// Scores a detected pass order against a batch's ground truth. In
-    /// the tag-moving case the *later* a bag passes the antenna the
-    /// further back on the belt it is, and the belt moves toward +X, so
-    /// passing order equals descending layout X: the detected order is
-    /// reversed before comparing against the ascending-X ground truth.
+    /// the tag-moving case the belt moves toward +X and every bag starts
+    /// upstream of the antenna, so the bag with the largest layout X
+    /// starts nearest it and passes first: passing order equals
+    /// descending layout X, and the detected order is reversed before
+    /// comparing against the ascending-X ground truth.
     /// `None` (localization failed) scores as an empty detection.
     fn score_batch(batch: &BaggageBatch, order_x: Option<Vec<u64>>, latency_s: f64) -> BatchResult {
         let detected: Vec<u64> = order_x.map(|o| o.into_iter().rev().collect()).unwrap_or_default();

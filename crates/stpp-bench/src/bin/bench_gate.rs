@@ -93,20 +93,6 @@ struct PopulationReport {
     overhead_net_vs_warm: f64,
 }
 
-/// One point of the fleet sweep the gate needs.
-#[derive(Debug, Deserialize)]
-struct FleetPoint {
-    shards: usize,
-    localized: usize,
-}
-
-/// The slice of the fleet sweep the gate needs.
-#[derive(Debug, Deserialize)]
-struct FleetReport {
-    points: Vec<FleetPoint>,
-    speedup_fleet2_vs_single: f64,
-}
-
 /// The slice of the streaming time-to-first-result sweep the gate needs.
 #[derive(Debug, Deserialize)]
 struct StreamingReport {
@@ -119,17 +105,15 @@ struct StreamingReport {
 struct BenchReport {
     schema: String,
     populations: Vec<PopulationReport>,
-    fleet: Option<FleetReport>,
     streaming: Option<StreamingReport>,
 }
 
 /// The thresholds the gate reads. The `[thresholds]` section must set
 /// each exactly once and nothing else.
-const THRESHOLDS: [&str; 5] = [
+const THRESHOLDS: [&str; 4] = [
     "min_speedup_batch_vs_seed",
     "min_speedup_serve_warm_vs_cold",
     "max_overhead_net_vs_warm",
-    "min_speedup_fleet2_vs_single",
     "min_speedup_first_result_vs_batch",
 ];
 
@@ -213,9 +197,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if report.schema != "stpp-bench-pipeline/v9" {
+    if report.schema != "stpp-bench-pipeline/v10" {
         eprintln!(
-            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v9` — regenerate the \
+            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v10` — regenerate the \
              report with this tree's bench_json",
             report.schema
         );
@@ -290,43 +274,6 @@ fn main() -> ExitCode {
             .push(format!("wire overhead vs warm grew to {worst_net:.2}x (threshold {max_net}x)"));
     }
 
-    // The fleet floor: a 2-shard fleet must serve the concurrent
-    // multi-geometry workload at least as fast as a single server (the
-    // aggregate warm-capacity win sharding exists for), and routing must
-    // not change results — the localized count is bit-identical across
-    // shard counts or the fleet is broken, not noisy.
-    let min_fleet = limits["min_speedup_fleet2_vs_single"];
-    let fleet2 = match &report.fleet {
-        None => {
-            violations.push(
-                "report has no fleet sweep — regenerate with this tree's bench_json".to_string(),
-            );
-            None
-        }
-        Some(fleet) => {
-            if let Some(first) = fleet.points.first() {
-                for point in &fleet.points[1..] {
-                    if point.localized != first.localized {
-                        violations.push(format!(
-                            "fleet of {} localized {} tags but fleet of {} localized {} — \
-                             routing is changing results",
-                            point.shards, point.localized, first.shards, first.localized,
-                        ));
-                    }
-                }
-            }
-            let ratio = fleet.speedup_fleet2_vs_single * degrade;
-            eprintln!("bench_gate: fleet x2 | {ratio:5.2}x vs single server");
-            if ratio < min_fleet {
-                violations.push(format!(
-                    "2-shard fleet regressed to {ratio:.2}x the single server (threshold \
-                     {min_fleet}x)"
-                ));
-            }
-            Some(ratio)
-        }
-    };
-
     // The streaming floor: the first provisional estimate must land
     // before batch-at-quiescence could produce *any* ordering on the
     // conveyor workload — the whole point of incremental detection. A
@@ -367,12 +314,11 @@ fn main() -> ExitCode {
     };
 
     if violations.is_empty() {
-        let fleet2 = fleet2.expect("no violations means the fleet sweep was present");
         let ttfr = ttfr.expect("no violations means the streaming sweep was present");
         eprintln!(
             "bench_gate: PASS (batch {worst_batch:.2}x >= {min_batch}, warm {worst_warm:.2}x >= \
-             {min_warm}, net {worst_net:.2}x <= {max_net}, fleet x2 {fleet2:.2}x >= {min_fleet}, \
-             streaming first result {ttfr:.2}x >= {min_ttfr})"
+             {min_warm}, net {worst_net:.2}x <= {max_net}, streaming first result {ttfr:.2}x >= \
+             {min_ttfr})"
         );
         ExitCode::SUCCESS
     } else {

@@ -29,15 +29,10 @@
 //! with workloads built from declarative scenario files, so a deployment
 //! described once for the scenario harness can be benchmarked through the
 //! identical modes.
-//!
-//! Every run (smoke and full) also carries the **fleet sweep**: one
-//! concurrent multi-geometry workload against sharded fleets of 1, 2,
-//! and 4 servers (see the `FLEET_*` constants), whose 2-shard speedup
-//! over the single server is floored by `bench_gate`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::Serialize;
 
@@ -46,48 +41,17 @@ use stpp_core::{
     BatchLocalizer, LocalizationError, RelativeLocalizer, StppConfig, StppInput, StppResult,
 };
 use stpp_serve::{
-    FleetClient, GeometryKey, LocalizationService, LocalizeReply, RetryPolicy, ServerConfig,
-    ServiceConfig, SessionGeometry, ShardIdentity, ShardRouter, StppClient, StppServer,
+    LocalizationService, LocalizeReply, ServerConfig, ServiceConfig, SessionGeometry, StppClient,
+    StppServer,
 };
 
-/// Timed repetitions per (population, mode); the minimum is reported.
+/// Timed repetitions per (population, mode) outside the cold/warm
+/// serving loop; the minimum and the median are reported.
 const REPS: usize = 5;
-/// Shard counts the fleet sweep measures. The gate compares the 2-shard
-/// fleet against the single server.
-const FLEET_SHARD_COUNTS: &[usize] = &[1, 2, 4];
-/// Tag population of the fleet workload (smallest benchmark population:
-/// the sweep isolates routing + admission behaviour, not pipeline cost).
-const FLEET_TAGS: usize = 5;
-/// Distinct geometry variants in the fleet workload. Each variant
-/// carries its own geometry key, so the ring spreads their warm banks
-/// across shards — the multi-geometry workload sharding exists for.
-const FLEET_VARIANTS: usize = 4;
-/// Concurrent fleet clients per repetition.
-const FLEET_CLIENTS: usize = 4;
-/// Rounds each fleet client performs per repetition; every round
-/// localizes every variant once.
-const FLEET_ROUNDS_PER_CLIENT: usize = 2;
-/// Timed repetitions per fleet size; the minimum is reported. The reps
-/// interleave fleet sizes (all fleets stay up for the whole sweep), so
-/// machine drift lands on every fleet size roughly equally and cancels
-/// in the ratios.
-const FLEET_REPS: usize = 5;
-/// Per-shard admission bound in the fleet sweep. Small and identical
-/// across fleet sizes, so aggregate admission capacity scales with the
-/// shard count.
-const FLEET_QUEUE_DEPTH: usize = 2;
-/// Per-shard bank-registry capacity (geometries whose reference banks
-/// stay warm), identical across fleet sizes. Deliberately **smaller
-/// than the workload's variant count**: a single server must thrash its
-/// registry (every request rebuilds banks cold), while a 2-shard fleet
-/// owns at most [`FLEET_CACHED_GEOMETRIES`] variants per shard — the
-/// ring's placement keeps every variant's banks warm on exactly one
-/// shard. Aggregate warm capacity scaling with the shard count is *the*
-/// reason the fleet shards geometry keys instead of load-balancing
-/// round-robin, and it is what makes the gate's fleet floor robust on a
-/// one-core CI runner: the win is a deterministic difference in work
-/// per request (cold rebuild vs warm lookup), not a scheduling effect.
-const FLEET_CACHED_GEOMETRIES: usize = FLEET_VARIANTS / 2;
+/// Rounds of the interleaved cold/warm serving loop. Each round times
+/// one cold request and then one warm one, so machine drift lands on
+/// both modes alike and cancels in their ratio.
+const SERVE_ROUNDS: usize = 25;
 /// Reports ingested between provisional polls in the streaming
 /// time-to-first-result sweep (matches the checked-in streaming
 /// scenario's `poll_every_reports`).
@@ -97,8 +61,12 @@ const STREAMING_REPS: usize = 5;
 
 #[derive(Debug, Serialize)]
 struct ModeReport {
-    /// Minimum wall-clock time over the repetitions, milliseconds.
+    /// Minimum wall-clock time over the repetitions ([`REPS`], or
+    /// [`SERVE_ROUNDS`] for the cold and warm serving modes),
+    /// milliseconds.
     localize_ms: f64,
+    /// Median wall-clock time over the repetitions, milliseconds.
+    median_ms: f64,
     /// Number of tags the mode localized (quality guard: a faster path
     /// must not silently drop tags).
     localized: usize,
@@ -139,59 +107,6 @@ struct PopulationReport {
     overhead_net_vs_warm: f64,
 }
 
-/// One point of the fleet sweep: the same concurrent multi-geometry
-/// workload driven against a fleet of N shards.
-#[derive(Serialize)]
-struct FleetPoint {
-    /// Shards in this fleet.
-    shards: usize,
-    /// Total wall-clock to serve the whole repetition workload
-    /// (clients × rounds × variants requests), milliseconds (minimum
-    /// over the repetitions).
-    total_ms: f64,
-    /// `total_ms / requests` — mean per-request latency under load.
-    per_request_ms: f64,
-    /// Requests per repetition.
-    requests: usize,
-    /// Tags localized per repetition, summed over every request. Bit-
-    /// identity guard: routing must not change results, so this count is
-    /// identical across shard counts (each response is also asserted
-    /// equal to the in-process reference at warm-up).
-    localized: usize,
-    /// Reference-bank builds during the fastest repetition. A single
-    /// server thrashes its [`FLEET_CACHED_GEOMETRIES`]-entry registry
-    /// (≈ one cold rebuild per request); a fleet whose shards own at
-    /// most that many variants each serves every request warm (0).
-    bank_builds: u64,
-}
-
-/// The fleet sweep: shard counts 1/2/4 over one concurrent
-/// multi-geometry workload (see the `FLEET_*` constants).
-#[derive(Serialize)]
-struct FleetReport {
-    /// Tag population of the workload.
-    tags: usize,
-    /// Concurrent fleet clients.
-    clients: usize,
-    /// Rounds per client per repetition.
-    rounds_per_client: usize,
-    /// Distinct geometry variants in the workload.
-    variants: usize,
-    /// Per-shard admission bound (identical across fleet sizes).
-    queue_depth: usize,
-    /// Per-shard bank-registry capacity (identical across fleet sizes;
-    /// smaller than `variants`, so only a fleet can hold the whole
-    /// workload warm).
-    cached_geometries: usize,
-    /// Ring seed (chosen so the variants actually spread across shards).
-    ring_seed: u64,
-    points: Vec<FleetPoint>,
-    /// `total_ms(1 shard) / total_ms(2 shards)` — above 1.0 means the
-    /// 2-shard fleet served the same offered load faster than the single
-    /// server. The gate floors this.
-    speedup_fleet2_vs_single: f64,
-}
-
 /// The streaming time-to-first-result sweep: the conveyor workload's
 /// report stream replayed into a [`stpp_serve::ServiceSession`],
 /// measuring how long the session takes to surface its first
@@ -230,34 +145,56 @@ struct BenchReport {
     /// Worker threads used by the batch modes.
     threads: usize,
     populations: Vec<PopulationReport>,
-    /// The fleet sweep (always present: the gate floors its 2-shard
-    /// speedup in smoke and full runs alike).
-    fleet: FleetReport,
     /// The streaming time-to-first-result sweep (always present: the
     /// gate floors its first-result speedup in smoke and full runs
     /// alike).
     streaming: StreamingReport,
 }
 
-/// Times a mode over [`REPS`] repetitions. A localize failure is a
-/// harness or workload bug, never a benchmark result: it propagates so
-/// `main` exits non-zero instead of recording `localized = 0` as if the
-/// mode had silently dropped every tag (which would trip the gate's
-/// quality guards with a misleading message — or worse, pass if every
-/// mode failed identically).
+/// One mode's repetition timings. A localize failure is a harness or
+/// workload bug, never a benchmark result: it propagates so `main` exits
+/// non-zero instead of recording `localized = 0` as if the mode had
+/// silently dropped every tag (which would trip the gate's quality
+/// guards with a misleading message — or worse, pass if every mode
+/// failed identically).
+#[derive(Default)]
+struct Timings {
+    ms: Vec<f64>,
+    localized: usize,
+}
+
+impl Timings {
+    /// Times one repetition.
+    fn time(
+        &mut self,
+        run: impl FnOnce() -> Result<StppResult, LocalizationError>,
+    ) -> Result<(), LocalizationError> {
+        let t = Instant::now();
+        let result = run()?;
+        self.ms.push(t.elapsed().as_secs_f64() * 1e3);
+        self.localized = result.localized_count();
+        Ok(())
+    }
+
+    /// The minimum and median over the repetitions timed so far.
+    fn report(mut self) -> ModeReport {
+        self.ms.sort_by(f64::total_cmp);
+        let n = self.ms.len();
+        let median_ms =
+            if n % 2 == 1 { self.ms[n / 2] } else { (self.ms[n / 2 - 1] + self.ms[n / 2]) / 2.0 };
+        ModeReport { localize_ms: self.ms[0], median_ms, localized: self.localized }
+    }
+}
+
+/// Times a mode over [`REPS`] repetitions.
 fn time_mode<F: FnMut() -> Result<StppResult, LocalizationError>>(
     mut run: F,
 ) -> Result<ModeReport, LocalizationError> {
-    let mut best_ms = f64::INFINITY;
-    let mut localized = 0usize;
+    let mut timings = Timings::default();
     for _ in 0..REPS {
-        let t = Instant::now();
-        let result = run()?;
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        best_ms = best_ms.min(ms);
-        localized = result.localized_count();
+        timings.time(&mut run)?;
     }
-    Ok(ModeReport { localize_ms: best_ms, localized })
+    Ok(timings.report())
 }
 
 fn bench_population(tags: usize, threads: usize) -> Result<PopulationReport, LocalizationError> {
@@ -294,23 +231,28 @@ fn bench_input(
     let sequential = time_mode(|| RelativeLocalizer::new(config).localize(&input))?;
     let batch = time_mode(|| BatchLocalizer::new(config, threads).localize(&input))?;
 
-    // Serving paths: cold constructs a fresh service per request, warm
-    // reuses one long-lived service.
+    // Serving paths, interleaved round by round: cold creates, uses and
+    // drops a fresh service inside its own timing; warm reuses one
+    // long-lived service.
     let service_config = ServiceConfig { stpp: config, threads, ..ServiceConfig::default() };
-    let serve_cold = time_mode(|| {
-        let service = LocalizationService::new(service_config);
-        service.localize(input.clone()).map(|r| r.result)
-    })?;
     let warm_service = LocalizationService::new(service_config);
     warm_service.localize(input.clone()).expect("warm-up request");
-    let serve_warm = time_mode(|| {
-        let response = warm_service.localize(input.clone())?;
-        assert_eq!(
-            response.metrics.bank_cache.builds, 0,
-            "warm serving request must build zero banks"
-        );
-        Ok(response.result)
-    })?;
+    let (mut cold, mut warm) = (Timings::default(), Timings::default());
+    for _ in 0..SERVE_ROUNDS {
+        cold.time(|| {
+            let service = LocalizationService::new(service_config);
+            service.localize(input.clone()).map(|r| r.result)
+        })?;
+        warm.time(|| {
+            let response = warm_service.localize(input.clone())?;
+            assert_eq!(
+                response.metrics.bank_cache.builds, 0,
+                "warm serving request must build zero banks"
+            );
+            Ok(response.result)
+        })?;
+    }
+    let (serve_cold, serve_warm) = (cold.report(), warm.report());
 
     // Networked serving: the same warm service behind `StppServer`,
     // driven over localhost TCP (measures the full wire tax: request
@@ -351,245 +293,10 @@ fn bench_input(
     })
 }
 
-/// The fleet workload's geometry variants: variant 0 is the input
-/// as-is, each later variant perturbs the deployment-known
-/// perpendicular distance so it carries a distinct geometry key (the
-/// same variant scheme the fleet scenarios use).
-fn fleet_variants(input: &Arc<StppInput>) -> Vec<Arc<StppInput>> {
-    let base =
-        input.perpendicular_distance_m.unwrap_or(StppConfig::default().perpendicular_distance_m);
-    (0..FLEET_VARIANTS)
-        .map(|v| {
-            if v == 0 {
-                Arc::clone(input)
-            } else {
-                let mut variant = (**input).clone();
-                variant.perpendicular_distance_m = Some(base * (1.0 + 0.05 * v as f64));
-                Arc::new(variant)
-            }
-        })
-        .collect()
-}
-
-/// Picks a ring seed under which, at every multi-shard fleet size, the
-/// workload's variants spread over at least two shards **and** no shard
-/// owns more variants than its bank registry holds
-/// ([`FLEET_CACHED_GEOMETRIES`]) — the placement that keeps every
-/// variant warm somewhere in the fleet. Deterministic in the workload
-/// (first qualifying seed wins).
-fn pick_fleet_seed(config: &StppConfig, variants: &[Arc<StppInput>]) -> u64 {
-    'seed: for seed in 0..1024u64 {
-        for &shards in FLEET_SHARD_COUNTS {
-            if shards < 2 {
-                continue;
-            }
-            let router = ShardRouter::new(shards, seed);
-            let mut owned = vec![0usize; shards];
-            for input in variants {
-                owned[router.shard_for(&GeometryKey::for_request(config, input)) as usize] += 1;
-            }
-            let used = owned.iter().filter(|&&n| n > 0).count();
-            let heaviest = owned.iter().copied().max().unwrap_or(0);
-            if used < 2 || heaviest > FLEET_CACHED_GEOMETRIES {
-                continue 'seed;
-            }
-        }
-        return seed;
-    }
-    panic!(
-        "no ring seed in 0..1024 spreads {FLEET_VARIANTS} variants at most \
-         {FLEET_CACHED_GEOMETRIES} per shard"
-    );
-}
-
-/// The retry discipline fleet-sweep clients run under: a deep budget
-/// with short backoffs, so `Busy` shedding from a saturated shard turns
-/// into paced retries (the capacity effect under measurement) rather
-/// than request failures. Deterministic per client.
-fn fleet_policy(client: usize) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 64,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(10),
-        jitter: 0.25,
-        seed: client as u64,
-        deadline: Duration::from_secs(5),
-    }
-}
-
-/// Spawns a fleet of `shards` servers, each with the identical small
-/// per-shard sizing and its [`ShardIdentity`] on the shared ring.
-fn spawn_fleet(
-    shards: usize,
-    ring_seed: u64,
-    service_config: ServiceConfig,
-) -> Vec<stpp_serve::ServerHandle> {
-    (0..shards)
-        .map(|index| {
-            let service = LocalizationService::new(service_config);
-            let config = ServerConfig {
-                queue_depth: FLEET_QUEUE_DEPTH,
-                shard: Some(ShardIdentity::new(index as u32, shards as u32, ring_seed)),
-                ..ServerConfig::default()
-            };
-            let server =
-                StppServer::bind("127.0.0.1:0", service, config).expect("bind fleet shard");
-            server.spawn().expect("spawn fleet shard")
-        })
-        .collect()
-}
-
-/// One timed fleet repetition: [`FLEET_CLIENTS`] concurrent workers,
-/// each with its own [`FleetClient`] (per-shard retry budgets and
-/// connections), each localizing every variant [`FLEET_ROUNDS_PER_CLIENT`]
-/// times. Variant order rotates per client so the workers do not hit
-/// the same shard in lockstep.
-fn time_fleet_rep(
-    addrs: &[std::net::SocketAddr],
-    config: &StppConfig,
-    ring_seed: u64,
-    variants: &[Arc<StppInput>],
-    expected: &[usize],
-) -> (f64, u64) {
-    let builds = std::sync::atomic::AtomicU64::new(0);
-    let builds = &builds;
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..FLEET_CLIENTS {
-            scope.spawn(move || {
-                let mut fleet =
-                    FleetClient::new(addrs.to_vec(), *config, fleet_policy(client), ring_seed);
-                for _ in 0..FLEET_ROUNDS_PER_CLIENT {
-                    for v in 0..variants.len() {
-                        let v = (v + client) % variants.len();
-                        let (_shard, response) = fleet
-                            .localize(&variants[v], Some(1))
-                            .expect("fleet request under a deep retry budget");
-                        assert_eq!(
-                            response.result.localized_count(),
-                            expected[v],
-                            "fleet routing changed a variant's localized count"
-                        );
-                        builds.fetch_add(
-                            response.metrics.bank_cache.builds,
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
-                    }
-                }
-            });
-        }
-    });
-    (t.elapsed().as_secs_f64() * 1e3, builds.load(std::sync::atomic::Ordering::Relaxed))
-}
-
-/// Measures the fleet sweep. Every fleet size is up for the whole sweep
-/// and the [`FLEET_REPS`] repetitions interleave fleet sizes rep by
-/// rep, so machine drift cancels in the ratio of the per-size minima.
-fn sweep_fleet(input: &Arc<StppInput>) -> FleetReport {
-    let config = StppConfig::default();
-    let variants = fleet_variants(input);
-    let ring_seed = pick_fleet_seed(&config, &variants);
-
-    // In-process references: routing must change where a request is
-    // served, never what it computes.
-    let localizer = BatchLocalizer::new(config, 1);
-    let references: Vec<StppResult> =
-        variants.iter().map(|v| localizer.localize(v).expect("fleet reference")).collect();
-    let expected: Vec<usize> = references.iter().map(|r| r.localized_count()).collect();
-
-    let service_config = ServiceConfig {
-        stpp: config,
-        threads: 1,
-        pool_workers: 1,
-        max_cached_geometries: FLEET_CACHED_GEOMETRIES,
-        ..ServiceConfig::default()
-    };
-    let fleets: Vec<Vec<stpp_serve::ServerHandle>> = FLEET_SHARD_COUNTS
-        .iter()
-        .map(|&shards| spawn_fleet(shards, ring_seed, service_config))
-        .collect();
-    let fleet_addrs: Vec<Vec<std::net::SocketAddr>> =
-        fleets.iter().map(|f| f.iter().map(|h| h.addr()).collect()).collect();
-
-    // Warm-up: build every variant's banks on its owning shard and pin
-    // full bit-identity against the in-process reference, per fleet
-    // size. The timed reps then measure pure warm serving.
-    for addrs in &fleet_addrs {
-        let mut fleet = FleetClient::new(addrs.clone(), config, fleet_policy(0), ring_seed);
-        for (v, variant) in variants.iter().enumerate() {
-            let (_shard, response) =
-                fleet.localize(variant, Some(1)).expect("fleet warm-up request");
-            assert_eq!(
-                response.result, references[v],
-                "fleet response must be bit-identical to the in-process pipeline"
-            );
-        }
-    }
-
-    let requests = FLEET_CLIENTS * FLEET_ROUNDS_PER_CLIENT * variants.len();
-    let localized: usize = expected.iter().sum::<usize>() * FLEET_CLIENTS * FLEET_ROUNDS_PER_CLIENT;
-    let mut best: Vec<(f64, u64)> = vec![(f64::INFINITY, 0); FLEET_SHARD_COUNTS.len()];
-    for _ in 0..FLEET_REPS {
-        for (i, addrs) in fleet_addrs.iter().enumerate() {
-            let (ms, builds) = time_fleet_rep(addrs, &config, ring_seed, &variants, &expected);
-            if ms < best[i].0 {
-                best[i] = (ms, builds);
-            }
-        }
-    }
-    for fleet in fleets {
-        for handle in fleet {
-            let mut client = StppClient::connect(handle.addr()).expect("connect for shutdown");
-            client.shutdown().expect("shutdown fleet shard");
-            handle.join().expect("fleet shard exits");
-        }
-    }
-
-    let points: Vec<FleetPoint> = FLEET_SHARD_COUNTS
-        .iter()
-        .zip(&best)
-        .map(|(&shards, &(total_ms, bank_builds))| FleetPoint {
-            shards,
-            total_ms,
-            per_request_ms: total_ms / requests as f64,
-            requests,
-            localized,
-            bank_builds,
-        })
-        .collect();
-    let total_for = |shards: usize| {
-        points
-            .iter()
-            .find(|p| p.shards == shards)
-            .map(|p| p.total_ms)
-            .expect("sweep covers this shard count")
-    };
-    let speedup = total_for(1) / total_for(2).max(1e-9);
-    for point in &points {
-        eprintln!(
-            "  fleet x{} shards: {:8.2} ms total | {:6.3} ms/request | {} localized | {} bank \
-             builds",
-            point.shards, point.total_ms, point.per_request_ms, point.localized, point.bank_builds
-        );
-    }
-    eprintln!("  fleet 2-shard speedup vs single: {speedup:.2}x (ring seed {ring_seed})");
-    FleetReport {
-        tags: input.observations.len(),
-        clients: FLEET_CLIENTS,
-        rounds_per_client: FLEET_ROUNDS_PER_CLIENT,
-        variants: variants.len(),
-        queue_depth: FLEET_QUEUE_DEPTH,
-        cached_geometries: FLEET_CACHED_GEOMETRIES,
-        ring_seed,
-        points,
-        speedup_fleet2_vs_single: speedup,
-    }
-}
-
 /// Measures the streaming time-to-first-result sweep on the checked-in
 /// conveyor streaming scenario. The streaming and batch repetitions
-/// interleave rep by rep (same drift-cancelling discipline as the other
-/// sweeps), and every finished session re-asserts bit-identity against
+/// interleave rep by rep (same drift-cancelling discipline as the
+/// cold/warm serving loop), and every finished session re-asserts bit-identity against
 /// the batch reference — streaming moves *when* the first answer
 /// appears, never what the final answer is.
 fn sweep_streaming(threads: usize) -> StreamingReport {
@@ -779,28 +486,17 @@ fn main() -> ExitCode {
         reports.push(report);
     }
 
-    // The fleet sweep rides its own small multi-geometry workload (it
-    // measures routing + admission capacity, not pipeline cost) and runs
-    // in smoke and full modes alike: the gate floors its 2-shard
-    // speedup.
-    eprintln!("benchmarking fleet (shards {FLEET_SHARD_COUNTS:?})…");
-    let fleet_recording = benchmark_recording(FLEET_TAGS, 0.06, 21);
-    let fleet_input =
-        Arc::new(StppInput::from_recording(&fleet_recording).expect("valid fleet input"));
-    let fleet = sweep_fleet(&fleet_input);
-
-    // The streaming sweep also rides its own workload (the checked-in
+    // The streaming sweep rides its own workload (the checked-in
     // conveyor streaming scenario) in smoke and full modes alike: the
     // gate floors its first-result speedup over batch-at-quiescence.
     eprintln!("benchmarking streaming time-to-first-result…");
     let streaming = sweep_streaming(threads);
 
     let report = BenchReport {
-        schema: "stpp-bench-pipeline/v9",
+        schema: "stpp-bench-pipeline/v10",
         smoke,
         threads,
         populations: reports,
-        fleet,
         streaming,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
@@ -840,5 +536,6 @@ mod tests {
             .expect("clean workload localizes");
         assert!(report.localized > 0, "benchmark workload must localize tags");
         assert!(report.localize_ms.is_finite());
+        assert!(report.median_ms >= report.localize_ms);
     }
 }

@@ -68,15 +68,17 @@ fn bench_gate_rejects_thresholds_it_does_not_read() {
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_gate.toml"))
             .expect("read the checked-in bench_gate.toml");
     let stale = format!("{checked_in}\nmin_speedup_async_vs_blocking_64conn = 1.0\n");
+    let stale_fleet = format!("{checked_in}\nmin_speedup_fleet2_vs_single = 1.05\n");
     let repeated = format!("{checked_in}\nmin_speedup_batch_vs_seed = 0.1\n");
     let misspelt =
-        checked_in.replace("min_speedup_fleet2_vs_single", "min_speedup_fleet2_vs_singel");
+        checked_in.replace("min_speedup_serve_warm_vs_cold", "min_speedup_serve_warm_vs_clod");
     let missing =
         checked_in.replace("max_overhead_net_vs_warm = ", "# max_overhead_net_vs_warm = ");
     for (name, text, named) in [
         ("stale", &stale, "`min_speedup_async_vs_blocking_64conn` is not a threshold"),
+        ("stale-fleet", &stale_fleet, "`min_speedup_fleet2_vs_single` is not a threshold"),
         ("repeated", &repeated, "`min_speedup_batch_vs_seed` is set twice"),
-        ("misspelt", &misspelt, "`min_speedup_fleet2_vs_singel` is not a threshold"),
+        ("misspelt", &misspelt, "`min_speedup_serve_warm_vs_clod` is not a threshold"),
         ("missing", &missing, "missing `max_overhead_net_vs_warm`"),
     ] {
         let out = gate_with_thresholds(name, text);

@@ -134,8 +134,8 @@ fn main() -> ExitCode {
         }
 
         let modes = args.modes.clone().unwrap_or_else(|| {
-            if spec.impairments.is_some() || spec.fleet.is_some() {
-                // Impairments and fleets only exist on the wire.
+            if spec.impairments.is_some() {
+                // Impairments only exist on the wire.
                 vec![RunMode::Wire]
             } else {
                 vec![RunMode::Pipeline, RunMode::Service, RunMode::Wire]

@@ -165,7 +165,6 @@ mod tests {
             channel: None,
             schedule: ScheduleSpec::default(),
             server: ServerSpec::default(),
-            fleet: None,
             storm: None,
             streaming: None,
             client: None,

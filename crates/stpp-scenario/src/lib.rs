@@ -52,7 +52,7 @@ pub use report::{
 };
 pub use runner::{run_scenario, RunError, RunOptions};
 pub use spec::{
-    ChannelSpec, ClientSpec, DeploymentSpec, DurationSpec, Expectations, FleetSpec, ImpairmentSpec,
+    ChannelSpec, ClientSpec, DeploymentSpec, DurationSpec, Expectations, ImpairmentSpec,
     LayoutSpec, MultipathSpec, PopulationSpec, ScenarioSpec, ScheduleSpec, ServerSpec, StormSpec,
     StreamingSpec, TagPosition,
 };

@@ -74,16 +74,6 @@ pub struct RunOutcome {
     /// with the deterministic result). Zero when the scenario declares
     /// no storm, so clean cross-mode outcome equality is unaffected.
     pub storm_connections: u64,
-    /// Distinct fleet shards that served at least one request. Zero
-    /// outside fleet runs (cross-mode outcome equality unaffected).
-    pub shards_used: u64,
-    /// `Redirect` bounces the fleet client followed. Zero outside fleet
-    /// runs.
-    pub redirects: u64,
-    /// Reference-bank builds on any request after its variant's first —
-    /// zero proves every repeat landed on the shard already holding that
-    /// variant's warm banks. Zero outside fleet runs.
-    pub cross_shard_builds: u64,
 }
 
 /// Wall-clock summary over the successful localize requests.
@@ -204,13 +194,6 @@ impl RunReport {
             "  retries={} timeouts={} circuit_opens={} reconnects={} server_restarts={}",
             o.retries, o.timeouts, o.circuit_opens, o.reconnects, o.server_restarts
         );
-        if o.shards_used > 0 {
-            let _ = writeln!(
-                out,
-                "  fleet shards_used={} redirects={} cross_shard_builds={}",
-                o.shards_used, o.redirects, o.cross_shard_builds
-            );
-        }
         let _ = writeln!(
             out,
             "  latency max={:.1}ms mean={:.1}ms",

@@ -12,12 +12,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use stpp_core::{metrics, BatchLocalizer, StppConfig, StppInput, StppResult};
+use stpp_core::{metrics, BatchLocalizer, StppConfig, StppResult};
 use stpp_serve::proto::{encode_localize_request_into, read_frame, write_frame};
 use stpp_serve::{
-    FleetClient, FlushReply, LocalizationRequest, LocalizationService, Request, ResilienceCounters,
+    FlushReply, LocalizationRequest, LocalizationService, Request, ResilienceCounters,
     ResilientClient, ResilientError, Response, RetryPolicy, ServerConfig, ServiceConfig,
-    SessionGeometry, ShardIdentity, StppClient, StppServer, WireReport,
+    SessionGeometry, StppClient, StppServer, WireReport,
 };
 
 use crate::build::{build_scenario, BuiltScenario};
@@ -28,7 +28,7 @@ use crate::report::{
     StreamingObservations,
 };
 use crate::spec::{
-    ClientSpec, Expectations, FleetSpec, ImpairmentSpec, ScenarioSpec, StormSpec, StreamingSpec,
+    ClientSpec, Expectations, ImpairmentSpec, ScenarioSpec, StormSpec, StreamingSpec,
 };
 
 /// Circuit-open waits per request before the runner gives up: the
@@ -107,17 +107,12 @@ impl From<ScenarioError> for RunError {
     }
 }
 
-/// What one executed request contributed. `variant` is the geometry
-/// variant the request carried (always 0 outside fleet runs): the
-/// determinism check compares each sample against the first sample *of
-/// its variant*, and cache accounting treats each variant's first
-/// request as the cold one.
+/// What one executed request contributed.
 struct RequestSample {
     result: StppResult,
     latency_s: f64,
     geometry_cache_hit: bool,
     bank_builds: u64,
-    variant: u64,
 }
 
 #[derive(Default)]
@@ -132,9 +127,6 @@ struct Tally {
     server_restarts: u64,
     drills_run: u64,
     storm_connections: u64,
-    shards_used: u64,
-    redirects: u64,
-    cross_shard_builds: u64,
     streaming: Option<StreamingObservations>,
 }
 
@@ -188,7 +180,6 @@ fn run_pipeline(
             latency_s: started.elapsed().as_secs_f64(),
             geometry_cache_hit: false,
             bank_builds: 0,
-            variant: 0,
         });
     }
     Ok(tally)
@@ -215,7 +206,6 @@ fn run_service(
             latency_s: started.elapsed().as_secs_f64(),
             geometry_cache_hit: response.metrics.geometry_cache_hit,
             bank_builds: response.metrics.bank_cache.builds,
-            variant: 0,
         });
     }
     if let Some(streaming) = &spec.streaming {
@@ -362,9 +352,6 @@ fn run_wire(
     built: &BuiltScenario,
     opts: &RunOptions,
 ) -> Result<Tally, RunError> {
-    if let Some(fleet) = &spec.fleet {
-        return run_fleet(spec, fleet, built, opts);
-    }
     let server_config = server_config(spec);
     let service = LocalizationService::new(service_config(spec));
     let server = StppServer::bind(("127.0.0.1", 0), service, server_config)
@@ -399,7 +386,6 @@ fn run_wire(
                 latency_s: started.elapsed().as_secs_f64(),
                 geometry_cache_hit: response.metrics.geometry_cache_hit,
                 bank_builds: response.metrics.bank_cache.builds,
-                variant: 0,
             });
             if kill_after > 0 && i + 1 == kill_after {
                 // Crash drill: hard-kill the server mid-run and rebind a
@@ -448,208 +434,17 @@ fn run_wire(
     run
 }
 
-/// The sharded-fleet wire runner: `shards` servers, each bound with its
-/// [`ShardIdentity`] on the scenario's shared ring seed, fronted by a
-/// [`FleetClient`]. Requests cycle through `variants` distinct
-/// geometries (so the workload spreads across the ring), the misroute
-/// drill periodically dispatches to a deliberately wrong shard (whose
-/// `Redirect` bounce the client follows), and the shard-kill drill
-/// restarts one shard on its own address mid-run. Every wire response is
-/// asserted bit-identical to the in-process pipeline's result for its
-/// variant — the fleet changes *where* work runs, never what it
-/// computes.
-fn run_fleet(
-    spec: &ScenarioSpec,
-    fleet_spec: &FleetSpec,
-    built: &BuiltScenario,
-    opts: &RunOptions,
-) -> Result<Tally, RunError> {
-    let shards = fleet_spec.shards as usize;
-
-    // Per-shard sizing: the scenario's server block with the fleet's
-    // per-shard overrides applied.
-    let mut shard_config = server_config(spec);
-    if let Some(depth) = fleet_spec.queue_depth {
-        shard_config.queue_depth = depth as usize;
-    }
-    if let Some(max) = fleet_spec.max_connections {
-        shard_config.max_connections = max as usize;
-    }
-
-    // The geometry variants: variant 0 is the built input as-is; each
-    // later variant perturbs the deployment-known perpendicular
-    // distance, so it carries a distinct geometry key (and therefore its
-    // own reference banks, owned by whichever shard the ring places it
-    // on).
-    let base = built
-        .input
-        .perpendicular_distance_m
-        .unwrap_or(StppConfig::default().perpendicular_distance_m);
-    let variants: Vec<Arc<StppInput>> = (0..fleet_spec.variants)
-        .map(|v| {
-            if v == 0 {
-                Arc::clone(&built.input)
-            } else {
-                let mut input = (*built.input).clone();
-                input.perpendicular_distance_m = Some(base * (1.0 + 0.05 * v as f64));
-                Arc::new(input)
-            }
-        })
-        .collect();
-
-    // The in-process reference per variant: every wire response must be
-    // bit-identical to it — a stronger form of the runner's determinism
-    // check.
-    let localizer = BatchLocalizer::new(StppConfig::default(), opts.threads.unwrap_or(1));
-    let references: Vec<StppResult> = variants
-        .iter()
-        .map(|input| localizer.localize(input).map_err(|e| RunError::Localization(e.to_string())))
-        .collect::<Result<_, _>>()?;
-
-    let spawn_shard =
-        |index: usize, addr: std::net::SocketAddr| -> Result<stpp_serve::ServerHandle, RunError> {
-            let service = LocalizationService::new(service_config(spec));
-            let config = ServerConfig {
-                shard: Some(ShardIdentity::new(
-                    index as u32,
-                    fleet_spec.shards as u32,
-                    fleet_spec.seed,
-                )),
-                ..shard_config
-            };
-            let server =
-                StppServer::bind(addr, service, config).map_err(|e| RunError::Io(e.to_string()))?;
-            server.spawn().map_err(|e| RunError::Io(e.to_string()))
-        };
-
-    let mut handles: Vec<Option<stpp_serve::ServerHandle>> = Vec::with_capacity(shards);
-    let mut addrs = Vec::with_capacity(shards);
-    for index in 0..shards {
-        let handle = spawn_shard(index, std::net::SocketAddr::from(([127, 0, 0, 1], 0)))?;
-        addrs.push(handle.addr());
-        handles.push(Some(handle));
-    }
-
-    let client_spec = spec.client.unwrap_or_default();
-    let mut fleet = FleetClient::new(
-        addrs.clone(),
-        StppConfig::default(),
-        retry_policy(&client_spec),
-        fleet_spec.seed,
-    )
-    .with_circuit(client_spec.circuit_threshold as u32, client_spec.circuit_cooldown.as_std());
-
-    let run = (|| -> Result<Tally, RunError> {
-        let mut tally = Tally::new();
-        let mut variant_seen = vec![false; variants.len()];
-        for i in 0..spec.schedule.requests {
-            pace(spec, i);
-            let variant = (i % fleet_spec.variants) as usize;
-            let input = &variants[variant];
-            let misroute = fleet_spec.misroute_every > 0
-                && shards > 1
-                && (i + 1) % fleet_spec.misroute_every == 0;
-            let target = misroute.then(|| (fleet.shard_for(input) + 1) % fleet_spec.shards as u32);
-            let started = Instant::now();
-            let (_served_by, response) =
-                fleet_localize(&mut fleet, &client_spec, input, target, opts)?;
-            if response.result != references[variant] {
-                return Err(RunError::NonDeterministic { request: i });
-            }
-            if variant_seen[variant] {
-                tally.cross_shard_builds += response.metrics.bank_cache.builds;
-            } else {
-                variant_seen[variant] = true;
-            }
-            tally.samples.push(RequestSample {
-                result: response.result,
-                latency_s: started.elapsed().as_secs_f64(),
-                geometry_cache_hit: response.metrics.geometry_cache_hit,
-                bank_builds: response.metrics.bank_cache.builds,
-                variant: variant as u64,
-            });
-            if let Some(kill) = fleet_spec.kill_shard {
-                if i + 1 == fleet_spec.kill_after_requests {
-                    // Shard-kill drill: hard-kill one shard mid-run and
-                    // rebind a fresh (cold) one on the same address with
-                    // the same identity. The fleet client's per-shard
-                    // retry budget must notice, reconnect, and carry on;
-                    // every other shard stays warm and untouched.
-                    let kill = kill as usize;
-                    if let Some(old) = handles[kill].take() {
-                        let _ = old.kill();
-                    }
-                    handles[kill] = Some(spawn_shard(kill, addrs[kill])?);
-                    tally.server_restarts += 1;
-                }
-            }
-        }
-        tally.absorb(fleet.counters());
-        tally.shards_used = fleet.shards_used();
-        tally.redirects = fleet.redirects();
-        Ok(tally)
-    })();
-
-    // Teardown: drain every shard directly so in-flight work finishes
-    // before the accept threads join.
-    for (index, addr) in addrs.iter().enumerate() {
-        if let Ok(mut direct) = StppClient::connect(*addr) {
-            let _ = direct.drain();
-        }
-        if let Some(handle) = handles[index].take() {
-            let _ = handle.join();
-        }
-    }
-
-    run
-}
-
-/// One localize call through the fleet client (see
-/// [`localize_resilient`] — same terminal-outcome mapping, with an open
-/// per-shard circuit ridden out across bounded cooldown waits).
-/// `target` dispatches to an explicit shard (the misroute drill);
-/// `None` routes normally.
-fn fleet_localize(
-    fleet: &mut FleetClient,
-    client_spec: &ClientSpec,
-    input: &StppInput,
-    target: Option<u32>,
-    opts: &RunOptions,
-) -> Result<(u32, stpp_serve::LocalizationResponse), RunError> {
-    for _ in 0..MAX_CIRCUIT_WAITS_PER_REQUEST {
-        let result = match target {
-            Some(shard) => fleet.localize_on(shard, input, opts.threads),
-            None => fleet.localize(input, opts.threads),
-        };
-        match result {
-            Ok(served) => return Ok(served),
-            Err(ResilientError::CircuitOpen { .. }) => {
-                std::thread::sleep(client_spec.circuit_cooldown.as_std());
-            }
-            Err(ResilientError::BudgetExhausted { attempts, .. }) => {
-                return Err(RunError::RetriesExhausted { attempts: attempts as u64 })
-            }
-            Err(ResilientError::Fatal(e)) => return Err(RunError::Client(e.to_string())),
-        }
-    }
-    Err(RunError::RetriesExhausted { attempts: MAX_CIRCUIT_WAITS_PER_REQUEST })
-}
-
-/// The [`RetryPolicy`] a scenario's `client` block describes.
-fn retry_policy(spec: &ClientSpec) -> RetryPolicy {
-    RetryPolicy {
+/// Builds the wire client the scenario's `client` block describes.
+fn resilient_client(addr: std::net::SocketAddr, spec: &ClientSpec) -> ResilientClient {
+    let policy = RetryPolicy {
         max_attempts: spec.attempts as u32,
         base_backoff: spec.base_backoff.as_std(),
         max_backoff: spec.max_backoff.as_std(),
         jitter: spec.jitter,
         seed: spec.seed,
         deadline: spec.deadline.as_std(),
-    }
-}
-
-/// Builds the wire client the scenario's `client` block describes.
-fn resilient_client(addr: std::net::SocketAddr, spec: &ClientSpec) -> ResilientClient {
-    ResilientClient::new(addr, retry_policy(spec))
+    };
+    ResilientClient::new(addr, policy)
         .with_circuit(spec.circuit_threshold as u32, spec.circuit_cooldown.as_std())
 }
 
@@ -870,26 +665,19 @@ fn finish(
     tally: Tally,
 ) -> Result<RunReport, RunError> {
     let first = tally.samples.first().expect("schedule guarantees at least one request");
-    // Determinism: each sample must match the first sample of its
-    // variant (a fleet run carries several geometries; everything else
-    // is all variant 0, where this is the original all-equal check).
     for (i, sample) in tally.samples.iter().enumerate().skip(1) {
-        let reference = tally
-            .samples
-            .iter()
-            .find(|s| s.variant == sample.variant)
-            .expect("the sample itself matches at worst");
-        if sample.result != reference.result {
+        if sample.result != first.result {
             return Err(RunError::NonDeterministic { request: i as u64 });
         }
     }
 
     let result = &first.result;
-    // In the tag-moving case a tag placed further back on the belt
-    // (larger layout X) passes the antenna later, and STPP orders tags
-    // by passing time — so the detected order is reversed before
-    // comparing against the ascending-X ground truth (same convention
-    // as the airport conveyor app).
+    // In the tag-moving case the belt runs toward +X from upstream of
+    // the antenna, so a tag with a larger layout X starts nearer the
+    // antenna and passes it earlier. STPP orders tags by passing time,
+    // which is descending layout X, so the detected order is reversed
+    // before comparing against the ascending-X ground truth (same
+    // convention as the airport conveyor app).
     let detected_x: Vec<u64> = match spec.deployment {
         crate::spec::DeploymentSpec::Conveyor { .. } => {
             result.order_x.iter().rev().copied().collect()
@@ -916,9 +704,6 @@ fn finish(
         server_restarts: tally.server_restarts,
         drills_run: tally.drills_run,
         storm_connections: tally.storm_connections,
-        shards_used: tally.shards_used,
-        redirects: tally.redirects,
-        cross_shard_builds: tally.cross_shard_builds,
     };
 
     let n = tally.samples.len() as f64;
@@ -929,27 +714,11 @@ fn finish(
 
     let service = match mode {
         RunMode::Pipeline => None,
-        RunMode::Service | RunMode::Wire => {
-            // Each variant's first request is the cold one; builds on
-            // any later request of that variant are warm builds. With a
-            // single variant this is exactly the original
-            // first-vs-the-rest split.
-            let mut seen = Vec::new();
-            let (mut cold_builds, mut warm_builds) = (0, 0);
-            for sample in &tally.samples {
-                if seen.contains(&sample.variant) {
-                    warm_builds += sample.bank_builds;
-                } else {
-                    seen.push(sample.variant);
-                    cold_builds += sample.bank_builds;
-                }
-            }
-            Some(ServiceObservations {
-                geometry_hits: tally.samples.iter().filter(|s| s.geometry_cache_hit).count() as u64,
-                cold_builds,
-                warm_builds,
-            })
-        }
+        RunMode::Service | RunMode::Wire => Some(ServiceObservations {
+            geometry_hits: tally.samples.iter().filter(|s| s.geometry_cache_hit).count() as u64,
+            cold_builds: first.bank_builds,
+            warm_builds: tally.samples.iter().skip(1).map(|s| s.bank_builds).sum(),
+        }),
     };
 
     let streaming = tally.streaming;
@@ -1149,14 +918,6 @@ fn evaluate(
         "min_storm_connections",
         outcome.storm_connections,
         exp.min_storm_connections,
-    ));
-    checks.extend(wire_floor("min_shards_used", outcome.shards_used, exp.min_shards_used));
-    checks.extend(wire_floor("min_redirects", outcome.redirects, exp.min_redirects));
-    checks.extend(ceiling("max_redirects", outcome.redirects, exp.max_redirects));
-    checks.extend(ceiling(
-        "max_cross_shard_builds",
-        outcome.cross_shard_builds,
-        exp.max_cross_shard_builds,
     ));
 
     // Streaming expectations only observe the streaming feed, which the

@@ -198,60 +198,6 @@ impl Default for ServerSpec {
     }
 }
 
-/// A sharded fleet for the wire runner: `shards` independent servers,
-/// each bound with a [`ShardIdentity`](stpp_serve::ShardIdentity) over
-/// the same consistent-hash ring, fronted by a
-/// [`FleetClient`](stpp_serve::FleetClient) that routes each request's
-/// geometry to its owning shard. Presence of this block switches the
-/// scenario's default mode to wire-only (like `impairments`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetSpec {
-    /// Number of shard servers, `[1, 16]`.
-    pub shards: u64,
-    /// Per-shard admission-queue depth override, `[1, 4096]`; `None`
-    /// keeps the scenario's `server.queue_depth`.
-    pub queue_depth: Option<u64>,
-    /// Per-shard concurrent-connection cap override, `[1, 65536]`;
-    /// `None` keeps the scenario's `server.max_connections`.
-    pub max_connections: Option<u64>,
-    /// Distinct request geometries, `[1, 16]`: request *i* uses variant
-    /// `i % variants` (each variant perturbs the perpendicular
-    /// distance), so a multi-variant schedule spreads across the ring.
-    pub variants: u64,
-    /// Deliberately dispatch every Nth request to the *wrong* shard —
-    /// the misroute drill: the shard answers with a `Redirect` bounce
-    /// (building nothing) and the fleet client follows it to the owner;
-    /// `0` disables, `1` would misroute everything so the minimum
-    /// active value is 2.
-    pub misroute_every: u64,
-    /// Kill this shard index abruptly mid-run and restart it on the
-    /// same address with the same identity — the sharded
-    /// crash-recovery drill. `None` disables.
-    pub kill_shard: Option<u64>,
-    /// How many completed requests before the
-    /// [`kill_shard`](Self::kill_shard) kill fires, `[1, 1000]`.
-    /// Required iff `kill_shard` is set.
-    pub kill_after_requests: u64,
-    /// Seed for the consistent-hash ring (shared by every shard and the
-    /// fleet client — they must agree on placement).
-    pub seed: u64,
-}
-
-impl Default for FleetSpec {
-    fn default() -> Self {
-        FleetSpec {
-            shards: 2,
-            queue_depth: None,
-            max_connections: None,
-            variants: 1,
-            misroute_every: 0,
-            kill_shard: None,
-            kill_after_requests: 0,
-            seed: 0,
-        }
-    }
-}
-
 /// A wire-only connection storm: many concurrent raw connections, each
 /// trickling its request frames a few bytes at a time (exercising the
 /// server's frame reads across short reads), directly against the server
@@ -455,22 +401,6 @@ pub struct Expectations {
     /// Floor on storm connections fully served (every trickled request
     /// answered `Localized` with the deterministic result).
     pub min_storm_connections: Option<u64>,
-    /// Floor on distinct shards that served at least one request — a
-    /// fleet scenario asserts its workload actually spread across the
-    /// ring (fleet runs only).
-    pub min_shards_used: Option<u64>,
-    /// Floor on `Redirect` bounces followed — a misroute drill asserts
-    /// the bounce protocol actually fired (fleet runs only).
-    pub min_redirects: Option<u64>,
-    /// Ceiling on `Redirect` bounces — a well-routed fleet must not
-    /// ping-pong (fleet runs only).
-    pub max_redirects: Option<u64>,
-    /// Ceiling on cross-shard reference-bank rebuilds: bank builds on
-    /// any request *after* a variant's first. `0` proves shard
-    /// affinity — every repeat landed on the shard that already holds
-    /// the variant's banks (fleet runs only; a shard kill legitimately
-    /// rebuilds).
-    pub max_cross_shard_builds: Option<u64>,
     /// Floor on provisional polls that returned at least one estimated
     /// tag (streaming feed only; requires a `streaming` block).
     pub min_provisional_results: Option<u64>,
@@ -500,8 +430,6 @@ pub struct ScenarioSpec {
     pub schedule: ScheduleSpec,
     /// Server sizing (service and wire runners).
     pub server: ServerSpec,
-    /// Sharded fleet (`None` = single server; wire runner only).
-    pub fleet: Option<FleetSpec>,
     /// Connection storm (`None` = no storm; wire runner only).
     pub storm: Option<StormSpec>,
     /// Streaming feed (`None` = batch requests only; service and wire
@@ -887,83 +815,6 @@ fn parse_server(value: &Value, path: &str) -> Result<ServerSpec, ScenarioError> 
     Ok(ServerSpec { queue_depth, pool_workers, max_connections })
 }
 
-fn parse_fleet(value: &Value, path: &str) -> Result<FleetSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let defaults = FleetSpec::default();
-    let bounded = |v: &Value, p: String, hi: u64| -> Result<u64, ScenarioError> {
-        let n = u64_at(v, &p)?;
-        if n == 0 || n > hi {
-            return Err(ScenarioError::InvalidValue {
-                path: p,
-                reason: format!("{n} is outside [1, {hi}]"),
-            });
-        }
-        Ok(n)
-    };
-    let shards = {
-        let (v, p) = fields.required("shards")?;
-        bounded(v, p, 16)?
-    };
-    let spec = FleetSpec {
-        shards,
-        queue_depth: match fields.optional("queue_depth") {
-            Some((v, p)) => Some(bounded(v, p, 4096)?),
-            None => None,
-        },
-        max_connections: match fields.optional("max_connections") {
-            Some((v, p)) => Some(bounded(v, p, 65536)?),
-            None => None,
-        },
-        variants: match fields.optional("variants") {
-            Some((v, p)) => bounded(v, p, 16)?,
-            None => defaults.variants,
-        },
-        misroute_every: match fields.optional("misroute_every") {
-            Some((v, p)) => {
-                let n = u64_at(v, &p)?;
-                if n == 1 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: "1 would misroute every request; use 0 to disable or ≥ 2"
-                            .to_string(),
-                    });
-                }
-                n
-            }
-            None => defaults.misroute_every,
-        },
-        kill_shard: match fields.optional("kill_shard") {
-            Some((v, p)) => {
-                let n = u64_at(v, &p)?;
-                if n >= shards {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: format!("shard {n} does not exist in a fleet of {shards}"),
-                    });
-                }
-                Some(n)
-            }
-            None => None,
-        },
-        kill_after_requests: match fields.optional("kill_after_requests") {
-            Some((v, p)) => bounded(v, p, 1000)?,
-            None => defaults.kill_after_requests,
-        },
-        seed: match fields.optional("seed") {
-            Some((v, p)) => u64_at(v, &p)?,
-            None => defaults.seed,
-        },
-    };
-    if spec.kill_shard.is_some() != (spec.kill_after_requests > 0) {
-        return Err(ScenarioError::InvalidValue {
-            path: format!("{path}.kill_shard"),
-            reason: "kill_shard and kill_after_requests must be set together".to_string(),
-        });
-    }
-    fields.finish()?;
-    Ok(spec)
-}
-
 fn parse_storm(value: &Value, path: &str) -> Result<StormSpec, ScenarioError> {
     let mut fields = Fields::new(value, path)?;
     let defaults = StormSpec::default();
@@ -1291,22 +1142,6 @@ fn parse_expectations(value: &Value, path: &str) -> Result<Expectations, Scenari
             Some((v, p)) => Some(u64_at(v, &p)?),
             None => None,
         },
-        min_shards_used: match fields.optional("min_shards_used") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_redirects: match fields.optional("min_redirects") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_redirects: match fields.optional("max_redirects") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_cross_shard_builds: match fields.optional("max_cross_shard_builds") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
         min_provisional_results: match fields.optional("min_provisional_results") {
             Some((v, p)) => Some(u64_at(v, &p)?),
             None => None,
@@ -1360,10 +1195,6 @@ impl ScenarioSpec {
                 Some((v, p)) => parse_server(v, &p)?,
                 None => ServerSpec::default(),
             },
-            fleet: match fields.optional("fleet") {
-                Some((v, p)) => Some(parse_fleet(v, &p)?),
-                None => None,
-            },
             storm: match fields.optional("storm") {
                 Some((v, p)) => Some(parse_storm(v, &p)?),
                 None => None,
@@ -1386,20 +1217,6 @@ impl ScenarioSpec {
             },
         };
         fields.finish()?;
-        if spec.fleet.is_some() && (spec.storm.is_some() || spec.impairments.is_some()) {
-            return Err(ScenarioError::InvalidValue {
-                path: "fleet".to_string(),
-                reason: "a fleet scenario cannot also declare `storm` or `impairments`".to_string(),
-            });
-        }
-        if spec.fleet.is_some() && spec.streaming.is_some() {
-            return Err(ScenarioError::InvalidValue {
-                path: "streaming".to_string(),
-                reason: "a streaming feed cannot ride a sharded fleet — a session lives on one \
-                         shard"
-                    .to_string(),
-            });
-        }
         Ok(spec)
     }
 
@@ -1439,26 +1256,6 @@ impl ScenarioSpec {
             server.push(("max_connections".to_string(), Value::U64(max)));
         }
         root.push(("server".to_string(), Value::Map(server)));
-        if let Some(fleet) = &self.fleet {
-            let mut entries = vec![("shards".to_string(), Value::U64(fleet.shards))];
-            if let Some(depth) = fleet.queue_depth {
-                entries.push(("queue_depth".to_string(), Value::U64(depth)));
-            }
-            if let Some(max) = fleet.max_connections {
-                entries.push(("max_connections".to_string(), Value::U64(max)));
-            }
-            entries.push(("variants".to_string(), Value::U64(fleet.variants)));
-            entries.push(("misroute_every".to_string(), Value::U64(fleet.misroute_every)));
-            if let Some(shard) = fleet.kill_shard {
-                entries.push(("kill_shard".to_string(), Value::U64(shard)));
-                entries.push((
-                    "kill_after_requests".to_string(),
-                    Value::U64(fleet.kill_after_requests),
-                ));
-            }
-            entries.push(("seed".to_string(), Value::U64(fleet.seed)));
-            root.push(("fleet".to_string(), Value::Map(entries)));
-        }
         if let Some(storm) = &self.storm {
             root.push((
                 "storm".to_string(),
@@ -1678,18 +1475,6 @@ fn expectations_value(expectations: &Expectations) -> Value {
     if let Some(n) = expectations.min_storm_connections {
         entries.push(("min_storm_connections".to_string(), Value::U64(n)));
     }
-    if let Some(n) = expectations.min_shards_used {
-        entries.push(("min_shards_used".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_redirects {
-        entries.push(("min_redirects".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.max_redirects {
-        entries.push(("max_redirects".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.max_cross_shard_builds {
-        entries.push(("max_cross_shard_builds".to_string(), Value::U64(n)));
-    }
     if let Some(n) = expectations.min_provisional_results {
         entries.push(("min_provisional_results".to_string(), Value::U64(n)));
     }
@@ -1876,11 +1661,6 @@ mod tests {
         let bad = minimal()
             .replace("\"seed\": 7", r#""seed": 7, "streaming": { "poll_every_reports": 0 }"#);
         assert!(matches!(ScenarioSpec::from_json(&bad), Err(ScenarioError::InvalidValue { .. })));
-
-        // Streaming cannot ride a fleet: a session lives on one shard.
-        let bad = minimal()
-            .replace("\"seed\": 7", r#""seed": 7, "streaming": {}, "fleet": { "shards": 2 }"#);
-        assert!(matches!(ScenarioSpec::from_json(&bad), Err(ScenarioError::InvalidValue { .. })));
     }
 
     #[test]
@@ -1908,6 +1688,21 @@ mod tests {
                 path: "deployment.antenna_sweep.standoff_m".to_string()
             })
         );
+        // Stale fleet keys are errors, not silently ignored.
+        for (insert, path) in [
+            (r#""fleet": { "shards": 2 }"#, "fleet"),
+            (r#""expectations": { "min_shards_used": 2 }"#, "expectations.min_shards_used"),
+            (
+                r#""expectations": { "max_cross_shard_builds": 0 }"#,
+                "expectations.max_cross_shard_builds",
+            ),
+        ] {
+            let text = minimal().replace("\"seed\": 7", &format!("\"seed\": 7, {insert}"));
+            assert_eq!(
+                ScenarioSpec::from_json(&text),
+                Err(ScenarioError::UnknownField { path: path.to_string() })
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn small_spec() -> ScenarioSpec {
         channel: None,
         schedule: ScheduleSpec { requests: 2, gap: DurationSpec::ZERO },
         server: ServerSpec::default(),
-        fleet: None,
         storm: None,
         streaming: None,
         client: None,

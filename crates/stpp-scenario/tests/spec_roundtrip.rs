@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use proptest::ProptestConfig;
 use stpp_scenario::{
-    ChannelSpec, ClientSpec, DeploymentSpec, DurationSpec, Expectations, FleetSpec, ImpairmentSpec,
+    ChannelSpec, ClientSpec, DeploymentSpec, DurationSpec, Expectations, ImpairmentSpec,
     LayoutSpec, MultipathSpec, PopulationSpec, ScenarioSpec, ScheduleSpec, ServerSpec, StormSpec,
     StreamingSpec, TagPosition,
 };
@@ -194,33 +194,6 @@ fn arb_server() -> impl Strategy<Value = ServerSpec> {
     )
 }
 
-fn arb_fleet() -> impl Strategy<Value = FleetSpec> {
-    (
-        (1u64..17, prop::option::of(1u64..4097), prop::option::of(1u64..65537), 1u64..17),
-        (arb_every(), prop::option::of((0u64..16, 1u64..1001)), any::<u64>()),
-    )
-        .prop_map(
-            |((shards, queue_depth, max_connections, variants), (misroute_every, kill, seed))| {
-                // kill_shard must name an existing shard and travels
-                // with kill_after_requests (set together or not at all).
-                let (kill_shard, kill_after_requests) = match kill {
-                    Some((shard, after)) => (Some(shard % shards), after),
-                    None => (None, 0),
-                };
-                FleetSpec {
-                    shards,
-                    queue_depth,
-                    max_connections,
-                    variants,
-                    misroute_every,
-                    kill_shard,
-                    kill_after_requests,
-                    seed,
-                }
-            },
-        )
-}
-
 fn arb_storm() -> impl Strategy<Value = StormSpec> {
     (1u64..257, 1u64..101, 1u64..(1u64 << 20) + 1, arb_duration(0.1)).prop_map(
         |(connections, requests_per_connection, chunk_bytes, chunk_gap)| StormSpec {
@@ -267,13 +240,7 @@ fn arb_expectations() -> impl Strategy<Value = Expectations> {
             prop::option::of(any::<u64>()),
             prop::option::of(any::<u64>()),
         ),
-        (
-            prop::option::of(any::<u64>()),
-            prop::option::of(any::<u64>()),
-            prop::option::of(any::<u64>()),
-            prop::option::of(any::<u64>()),
-            (prop::option::of(any::<u64>()), prop::option::of(arb_duration(10.0))),
-        ),
+        (prop::option::of(any::<u64>()), prop::option::of(arb_duration(10.0))),
     )
         .prop_map(
             |(
@@ -288,13 +255,7 @@ fn arb_expectations() -> impl Strategy<Value = Expectations> {
                 ),
                 (min_retries, max_retries, min_timeouts),
                 (max_timeouts, min_circuit_opens, max_circuit_opens, min_storm_connections),
-                (
-                    min_shards_used,
-                    min_redirects,
-                    max_redirects,
-                    max_cross_shard_builds,
-                    (min_provisional_results, max_time_to_first_result),
-                ),
+                (min_provisional_results, max_time_to_first_result),
             )| Expectations {
                 order_x,
                 order_y,
@@ -315,10 +276,6 @@ fn arb_expectations() -> impl Strategy<Value = Expectations> {
                 min_circuit_opens,
                 max_circuit_opens,
                 min_storm_connections,
-                min_shards_used,
-                min_redirects,
-                max_redirects,
-                max_cross_shard_builds,
                 min_provisional_results,
                 max_time_to_first_result,
             },
@@ -336,11 +293,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         (
             (1u64..10_001, arb_duration(5.0)),
             arb_server(),
-            (
-                prop::option::of(arb_fleet()),
-                prop::option::of(arb_storm()),
-                prop::option::of(arb_streaming()),
-            ),
+            (prop::option::of(arb_storm()), prop::option::of(arb_streaming())),
             prop::option::of(arb_client()),
             prop::option::of(arb_impairments()),
             arb_expectations(),
@@ -349,37 +302,20 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         .prop_map(
             |(
                 ((name, seed), (layout, phase_offset_jitter_rad), deployment, channel),
-                (
-                    (requests, gap),
-                    server,
-                    (fleet, storm, streaming),
-                    client,
-                    impairments,
-                    expectations,
-                ),
-            )| {
-                // The parser rejects fleet + storm/impairments/streaming
-                // combos.
-                let (storm, impairments, streaming) = if fleet.is_some() {
-                    (None, None, None)
-                } else {
-                    (storm, impairments, streaming)
-                };
-                ScenarioSpec {
-                    name,
-                    seed,
-                    population: PopulationSpec { layout, phase_offset_jitter_rad },
-                    deployment,
-                    channel,
-                    schedule: ScheduleSpec { requests, gap },
-                    server,
-                    fleet,
-                    storm,
-                    streaming,
-                    client,
-                    impairments,
-                    expectations,
-                }
+                ((requests, gap), server, (storm, streaming), client, impairments, expectations),
+            )| ScenarioSpec {
+                name,
+                seed,
+                population: PopulationSpec { layout, phase_offset_jitter_rad },
+                deployment,
+                channel,
+                schedule: ScheduleSpec { requests, gap },
+                server,
+                storm,
+                streaming,
+                client,
+                impairments,
+                expectations,
             },
         )
 }

@@ -40,15 +40,6 @@ pub enum ClientError {
         /// The offending session id.
         session: u64,
     },
-    /// The server is part of a sharded fleet and bounced the request to
-    /// the shard owning its geometry (see
-    /// [`Response::Redirect`]). A single-server client treats this as an
-    /// error; a [`FleetClient`](crate::fleet::FleetClient) follows the
-    /// bounce transparently.
-    Redirected {
-        /// The shard index that owns the request's geometry.
-        shard: u64,
-    },
     /// The server answered with a frame this call did not expect.
     Unexpected {
         /// Debug rendering of the unexpected frame.
@@ -63,9 +54,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Rejected(e) => write!(f, "request rejected: {e}"),
             ClientError::Ingest(e) => write!(f, "ingestion rejected: {e}"),
             ClientError::UnknownSession { session } => write!(f, "unknown session {session}"),
-            ClientError::Redirected { shard } => {
-                write!(f, "request redirected to owning shard {shard}")
-            }
             ClientError::Unexpected { frame } => write!(f, "unexpected response frame: {frame}"),
         }
     }
@@ -182,7 +170,6 @@ impl StppClient {
             Response::Localized { response } => Ok(LocalizeReply::Localized(response)),
             Response::Busy { depth } => Ok(LocalizeReply::Busy { depth }),
             Response::Rejected { error } => Err(ClientError::Rejected(error)),
-            Response::Redirect { shard } => Err(ClientError::Redirected { shard }),
             other => Err(unexpected(other)),
         }
     }
@@ -227,7 +214,6 @@ impl StppClient {
         match self.request(&Request::OpenSession { geometry, quiescence_s })? {
             Response::SessionOpened { session } => Ok(session),
             Response::IngestRejected { error, .. } => Err(ClientError::Ingest(error)),
-            Response::Redirect { shard } => Err(ClientError::Redirected { shard }),
             other => Err(unexpected(other)),
         }
     }

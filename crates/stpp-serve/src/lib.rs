@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod fleet;
 pub mod pool;
 pub mod proto;
 pub mod retry;
@@ -68,7 +67,6 @@ pub mod service;
 pub mod session;
 
 pub use client::{ClientError, FlushReply, LocalizeReply, StppClient};
-pub use fleet::{FleetClient, FleetHealth, ShardIdentity, ShardRouter};
 pub use pool::WorkerPool;
 pub use proto::{HealthReport, ProtoError, Request, Response, ServerStats, WireReport};
 pub use retry::{

@@ -173,9 +173,9 @@ pub enum Request {
     /// Poll a session's provisional (mid-stream) X ordering. Control
     /// plane: an incremental per-tag update over the samples that arrived
     /// since the last poll, non-consuming, never rejected `Busy`. A
-    /// compatible protocol extension (name-tagged variant, like
-    /// [`Response::Redirect`]): decoders that predate it only fail if
-    /// they actually receive one.
+    /// compatible protocol extension: the enum encoding is tagged by
+    /// variant name, so decoders that predate it only fail if they
+    /// actually receive one.
     Provisional {
         /// The session id.
         session: u64,
@@ -324,7 +324,7 @@ pub enum Response {
     /// Advisory: the authoritative result still arrives via
     /// [`Response::Flushed`], bit-identical to offline batch
     /// localization. A compatible protocol extension (see
-    /// [`Response::Redirect`]).
+    /// [`Request::Provisional`]).
     Provisional {
         /// The session id.
         session: u64,
@@ -362,19 +362,6 @@ pub enum Response {
     TooManyConnections {
         /// The server's connection limit, for client-side pacing.
         limit: u64,
-    },
-    /// Shard-routing bounce: this server is part of a sharded fleet and
-    /// the request's geometry key is owned by a *different* shard, so it
-    /// refuses to serve the request cold and names the owner instead.
-    /// Only servers configured with a
-    /// [`ShardIdentity`](crate::fleet::ShardIdentity) ever emit it; a
-    /// [`FleetClient`](crate::fleet::FleetClient) follows the bounce
-    /// transparently. A compatible protocol extension: the enum encoding
-    /// is tagged by variant name, so decoders that predate the variant
-    /// only fail if they actually receive one.
-    Redirect {
-        /// The shard index that owns the request's geometry.
-        shard: u64,
     },
 }
 

@@ -102,14 +102,6 @@ pub struct ServerConfig {
     /// [`ServerStats::connection_rejections`]); established connections
     /// are unaffected. Clamped to at least 1.
     pub max_connections: usize,
-    /// This server's place in a sharded fleet; `None` (the default)
-    /// serves every geometry. When set, the server builds the same
-    /// consistent-hash ring as every [`FleetClient`](crate::fleet::FleetClient)
-    /// and answers [`Request::Localize`] / [`Request::OpenSession`]
-    /// frames whose geometry key belongs to a *different* shard with
-    /// [`Response::Redirect`] naming the owner — a misdirected request
-    /// is bounced before admission instead of building cold banks here.
-    pub shard: Option<crate::fleet::ShardIdentity>,
     /// Wall-clock quiescence flushing for streaming sessions (opt-in).
     /// When set, a session untouched for this long has its quiescent
     /// tags flushed server-side by the background session sweep — so a
@@ -131,7 +123,6 @@ impl Default for ServerConfig {
             session_ttl: Some(Duration::from_secs(600)),
             session_seed: 0,
             max_connections: 1024,
-            shard: None,
             wallclock_quiescence: None,
         }
     }
@@ -158,9 +149,6 @@ struct ServerState {
     session_ttl: Option<Duration>,
     session_seed: u64,
     max_connections: usize,
-    /// The fleet ring plus this server's own shard index, when sharded
-    /// (built once at bind from [`ServerConfig::shard`]).
-    shard: Option<(crate::fleet::ShardRouter, u32)>,
     wallclock_quiescence: Option<Duration>,
     started: Instant,
     sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
@@ -271,14 +259,6 @@ impl ServerState {
             connections_open: self.connections_open.load(Ordering::SeqCst),
             connection_rejections: self.connection_rejections.load(Ordering::Relaxed),
         }
-    }
-
-    /// When this server is a fleet member and `key` belongs to a
-    /// different shard, the owner to redirect to.
-    fn misdirected(&self, key: crate::service::GeometryKey) -> Option<u64> {
-        let (router, me) = self.shard.as_ref()?;
-        let owner = router.shard_for(&key);
-        (owner != *me).then_some(owner as u64)
     }
 
     /// Removes every session idle longer than the TTL.
@@ -413,7 +393,6 @@ impl StppServer {
                 session_ttl: config.session_ttl,
                 session_seed: config.session_seed,
                 max_connections: config.max_connections.max(1),
-                shard: config.shard.map(|identity| (identity.router(), identity.index)),
                 wallclock_quiescence: config.wallclock_quiescence,
                 started: Instant::now(),
                 sessions: Mutex::new(HashMap::new()),
@@ -603,13 +582,6 @@ fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
 fn handle_request(state: &ServerState, request: Request) -> Response {
     match request {
         Request::Localize { input, threads } => {
-            // Ownership gate before admission: a bounced request must
-            // neither occupy a detection slot nor build banks here.
-            let key =
-                crate::service::GeometryKey::for_request(&state.service.config().stpp, &input);
-            if let Some(owner) = state.misdirected(key) {
-                return Response::Redirect { shard: owner };
-            }
             let Some(_slot) = state.try_admit() else {
                 return Response::Busy { depth: state.queue_depth as u64 };
             };
@@ -623,13 +595,6 @@ fn handle_request(state: &ServerState, request: Request) -> Response {
             }
         }
         Request::OpenSession { geometry, quiescence_s } => {
-            // Sessions are pinned to the shard owning their geometry —
-            // every batch the session flushes resolves to the same key.
-            let key =
-                crate::service::GeometryKey::for_session(&state.service.config().stpp, &geometry);
-            if let Some(owner) = state.misdirected(key) {
-                return Response::Redirect { shard: owner };
-            }
             let opened = match quiescence_s {
                 Some(q) => state.service.open_session_with_quiescence(geometry, q),
                 None => state.service.open_session(geometry),

@@ -26,7 +26,6 @@ use stpp_core::{
 };
 
 use crate::pool::WorkerPool;
-use crate::retry::splitmix64;
 use crate::session::{IngestError, ServiceSession, SessionGeometry};
 
 /// Configuration of a [`LocalizationService`].
@@ -106,9 +105,8 @@ impl GeometryKey {
     /// to under `config`. A [`ServiceSession`] builds its batches as an
     /// [`StppInput`] carrying exactly the [`SessionGeometry`] fields, so
     /// this agrees with [`for_request`](Self::for_request) on every batch
-    /// the session ever flushes — the shard-placement guarantee a
-    /// [`FleetClient`](crate::fleet::FleetClient) relies on when pinning
-    /// a session to the shard owning its geometry.
+    /// the session ever flushes, so a session's provisional polls and its
+    /// flushed batches share one registry entry (one set of warm banks).
     pub fn for_session(config: &StppConfig, geometry: &SessionGeometry) -> GeometryKey {
         GeometryKey {
             speed_bits: geometry.nominal_speed_mps.to_bits(),
@@ -122,25 +120,6 @@ impl GeometryKey {
             offset_candidates: config.offset_candidates,
             periods: config.reference_periods,
         }
-    }
-
-    /// A stable 64-bit mix of every field of the key, for consistent-hash
-    /// placement. Deterministic across processes and runs (no
-    /// [`std::hash::RandomState`] involved), so client and server agree
-    /// on ownership by construction.
-    pub fn routing_bits(&self) -> u64 {
-        let mut acc = 0x9e37_79b9_7f4a_7c15;
-        for word in [
-            self.speed_bits,
-            self.wavelength_bits,
-            self.perpendicular_bits,
-            self.window as u64,
-            self.offset_candidates as u64,
-            self.periods as u64,
-        ] {
-            acc = splitmix64(acc ^ word);
-        }
-        acc
     }
 }
 

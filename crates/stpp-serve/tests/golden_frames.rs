@@ -326,7 +326,6 @@ fn frames() -> Vec<(&'static str, Frame)> {
             Resp(Response::InternalError { reason: "handler panicked: größe ≠ 0".into() }),
         ),
         ("Response::TooManyConnections", Resp(Response::TooManyConnections { limit: 64 })),
-        ("Response::Redirect", Resp(Response::Redirect { shard: 1 })),
     ]
 }
 

@@ -13,12 +13,12 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stpp_core::{PhaseProfile, RelativeLocalizer, StppConfig, StppInput, TagObservations};
+use stpp_core::{PhaseProfile, RelativeLocalizer, StppInput, TagObservations};
 use stpp_serve::proto::{read_frame, write_frame};
 use stpp_serve::{
-    ClientError, FailureKind, FleetClient, LocalizationService, Request, ResilientClient,
-    ResilientError, ResilientSession, Response, RetryPolicy, ServerConfig, SessionGeometry,
-    ShardIdentity, StppClient, StppServer, WireReport,
+    ClientError, FailureKind, LocalizationService, Request, ResilientClient, ResilientError,
+    ResilientSession, Response, RetryPolicy, ServerConfig, SessionGeometry, StppClient, StppServer,
+    WireReport,
 };
 
 fn synthetic_input(tag_xs: &[f64], d_perp: f64, mu: f64) -> StppInput {
@@ -501,89 +501,6 @@ fn session_ids_are_non_sequential_and_seed_dependent() {
         handle.join().expect("server exits");
     }
     assert_ne!(ids[0], ids[1], "different seeds must yield different id streams");
-}
-
-/// The `Health` control-plane frame finally has a fleet view: the
-/// per-shard reports aggregate into one `FleetHealth` whose counters are
-/// exactly the sums of what each shard reports — pinned against the
-/// per-shard frames fetched directly.
-#[test]
-fn fleet_health_aggregates_shard_counters_exactly() {
-    let seed = 21;
-    let shards = 2u32;
-    let mut handles = Vec::new();
-    let mut addrs = Vec::new();
-    for index in 0..shards {
-        let service = LocalizationService::with_defaults();
-        let config = ServerConfig {
-            shard: Some(ShardIdentity::new(index, shards, seed)),
-            ..ServerConfig::default()
-        };
-        let server = StppServer::bind("127.0.0.1:0", service, config).expect("bind shard");
-        let handle = server.spawn().expect("spawn shard");
-        addrs.push(handle.addr());
-        handles.push(handle);
-    }
-
-    let policy = RetryPolicy {
-        max_attempts: 4,
-        base_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(20),
-        jitter: 0.0,
-        seed: 0,
-        deadline: Duration::from_secs(2),
-    };
-    let mut fleet = FleetClient::new(addrs.clone(), StppConfig::default(), policy, seed);
-
-    // Spread some work over the fleet and leave one pinned session open.
-    for &d_perp in &[0.29, 0.33, 0.37, 0.41] {
-        let input = synthetic_input(&[0.5, 0.9], d_perp, 0.1);
-        fleet.localize(&input, None).expect("fleet localize");
-    }
-    let geometry = SessionGeometry {
-        nominal_speed_mps: 0.1,
-        wavelength_m: 0.326,
-        perpendicular_distance_m: Some(0.33),
-    };
-    let (_owner, mut session) = fleet.open_session(geometry, None);
-    session
-        .ingest(&[WireReport { epc_serial: 1, time_s: 0.0, phase_rad: 0.0 }])
-        .expect("session ingest");
-
-    // Per-shard reports first, then the fleet aggregate: the only
-    // traffic in between is the fleet's own probe, so every counter is
-    // exactly the field-wise sum — with `requests` offset by precisely
-    // one Health frame per shard (the server counts every frame it
-    // reads, the probes included).
-    let mut requests = 0;
-    let mut sessions_open = 0;
-    let mut queue_depth = 0;
-    let mut connection_rejections = 0;
-    for &addr in &addrs {
-        let report = StppClient::connect(addr).expect("probe").health().expect("health");
-        requests += report.requests;
-        sessions_open += report.sessions_open;
-        queue_depth += report.queue_depth;
-        connection_rejections += report.connection_rejections;
-    }
-
-    let fleet_health = fleet.health();
-    assert_eq!(fleet_health.shards, shards as u64);
-    assert_eq!(fleet_health.responsive, shards as u64);
-    assert_eq!(fleet_health.draining, 0);
-    assert_eq!(fleet_health.sessions_open, 1, "the pinned session must be visible fleet-wide");
-    assert!(fleet_health.requests >= 4, "the localizes must be counted somewhere in the fleet");
-    assert_eq!(fleet_health.requests, requests + shards as u64);
-    assert_eq!(fleet_health.sessions_open, sessions_open);
-    assert_eq!(fleet_health.queue_depth, queue_depth);
-    assert_eq!(fleet_health.connection_rejections, connection_rejections);
-
-    drop(session); // abandoned client-side; the server reaps it on TTL
-    for (handle, addr) in handles.into_iter().zip(addrs) {
-        let mut direct = StppClient::connect(addr).expect("connect");
-        direct.shutdown().expect("shutdown");
-        handle.join().expect("shard exits");
-    }
 }
 
 /// The crown jewel: a streaming session killed mid-stream recovers by
