@@ -9,9 +9,12 @@
 //! * `pipeline` — end-to-end localization for growing populations
 //!   (context for Figure 23 / Table 1).
 //! * `simulation` — sweep simulation cost (the substrate itself).
+//! * `proto` — frame decoding: the hot frames the serving benchmark's
+//!   workloads send, read through `decode_frame`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use stpp_bench::{baseline, benchmark_recording};
 use stpp_core::{
@@ -21,6 +24,8 @@ use stpp_core::{
     ReferenceProfile, ReferenceProfileParams, RelativeLocalizer, SegmentFeatures, SegmentedProfile,
     StppConfig, StppInput, TagObservations, VZoneDetector,
 };
+use stpp_serve::proto::{decode_frame, encode_frame};
+use stpp_serve::{LocalizationService, Request, Response, WireReport};
 
 fn measured_profile() -> PhaseProfile {
     let recording = benchmark_recording(1, 0.1, 7);
@@ -175,12 +180,45 @@ fn bench_simulation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One frame of each hot shape: a shelf sweep's `Localize` request, a
+/// conveyor stream's `IngestReports` frame and the `Localized` answer to
+/// the shelf request.
+fn bench_proto(c: &mut Criterion) {
+    let mut group = c.benchmark_group("proto");
+    // 36 tags of about 126 samples each: 4.5k samples, a mid-sized shelf.
+    let input = StppInput::from_recording(&benchmark_recording(36, 0.06, 21)).expect("valid input");
+    let request = Request::Localize { input: input.clone(), threads: None };
+    let localize = encode_frame(&request).expect("encode");
+    group.bench_function("localize", |b| b.iter(|| black_box(decode_frame::<Request>(&localize))));
+
+    let reports = (0..36u64)
+        .map(|i| WireReport {
+            epc_serial: i % 12,
+            time_s: 0.05 * i as f64,
+            phase_rad: (0.37 * i as f64) % std::f64::consts::TAU,
+        })
+        .collect();
+    let ingest = encode_frame(&Request::IngestReports { session: 1, reports }).expect("encode");
+    group.bench_function("ingest_reports/36", |b| {
+        b.iter(|| black_box(decode_frame::<Request>(&ingest)))
+    });
+
+    let response =
+        LocalizationService::with_defaults().localize(Arc::new(input)).expect("localize");
+    let localized = encode_frame(&Response::Localized { response }).expect("encode");
+    group.bench_function("localized", |b| {
+        b.iter(|| black_box(decode_frame::<Response>(&localized)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dtw,
     bench_vzone_detection,
     bench_ordering,
     bench_pipeline,
-    bench_simulation
+    bench_simulation,
+    bench_proto
 );
 criterion_main!(benches);

@@ -29,8 +29,8 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use serde::Deserialize;
 use stpp_bench::cli;
+use stpp_bench::report::{BenchReport, SCHEMA};
 
 /// The usage line printed with every command-line error.
 const USAGE: &str =
@@ -71,41 +71,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         gate_path: gate.unwrap_or_else(|| format!("{root}/bench_gate.toml")),
         degrade,
     })
-}
-
-/// The slice of a mode report the gate needs.
-#[derive(Debug, Deserialize)]
-struct ModeReport {
-    localize_ms: f64,
-    localized: usize,
-}
-
-/// The slice of a population report the gate needs (extra JSON fields are
-/// ignored by the deserializer).
-#[derive(Debug, Deserialize)]
-struct PopulationReport {
-    tags: usize,
-    seed_sequential_exact: ModeReport,
-    sequential: ModeReport,
-    batch: ModeReport,
-    speedup_batch_vs_seed: f64,
-    speedup_serve_warm_vs_cold: f64,
-    overhead_net_vs_warm: f64,
-}
-
-/// The slice of the streaming time-to-first-result sweep the gate needs.
-#[derive(Debug, Deserialize)]
-struct StreamingReport {
-    reports: usize,
-    first_result_reports: usize,
-    speedup_first_result_vs_batch: f64,
-}
-
-#[derive(Debug, Deserialize)]
-struct BenchReport {
-    schema: String,
-    populations: Vec<PopulationReport>,
-    streaming: Option<StreamingReport>,
 }
 
 /// The thresholds the gate reads. The `[thresholds]` section must set
@@ -197,10 +162,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if report.schema != "stpp-bench-pipeline/v10" {
+    if report.schema != SCHEMA {
         eprintln!(
-            "bench_gate: report schema `{}` is not `stpp-bench-pipeline/v10` — regenerate the \
-             report with this tree's bench_json",
+            "bench_gate: report schema `{}` is not `{SCHEMA}` — regenerate the report with this \
+             tree's bench_json",
             report.schema
         );
         return ExitCode::FAILURE;
@@ -281,40 +246,28 @@ fn main() -> ExitCode {
     // regression (streaming degenerated into batch), and that check is
     // noise-free.
     let min_ttfr = limits["min_speedup_first_result_vs_batch"];
-    let ttfr = match &report.streaming {
-        None => {
-            violations.push(
-                "report has no streaming sweep — regenerate with this tree's bench_json"
-                    .to_string(),
-            );
-            None
-        }
-        Some(streaming) => {
-            if streaming.first_result_reports >= streaming.reports {
-                violations.push(format!(
-                    "streaming needed {} of {} reports for its first provisional estimate — \
-                     incremental detection degenerated into batch",
-                    streaming.first_result_reports, streaming.reports,
-                ));
-            }
-            let ratio = streaming.speedup_first_result_vs_batch * degrade;
-            eprintln!(
-                "bench_gate: streaming | first result {ratio:5.2}x earlier than batch at \
-                 quiescence ({} of {} reports)",
-                streaming.first_result_reports, streaming.reports,
-            );
-            if ratio < min_ttfr {
-                violations.push(format!(
-                    "streaming first result regressed to {ratio:.2}x batch-at-quiescence \
-                     (threshold {min_ttfr}x)"
-                ));
-            }
-            Some(ratio)
-        }
-    };
+    let streaming = &report.streaming;
+    if streaming.first_result_reports >= streaming.reports {
+        violations.push(format!(
+            "streaming needed {} of {} reports for its first provisional estimate — \
+             incremental detection degenerated into batch",
+            streaming.first_result_reports, streaming.reports,
+        ));
+    }
+    let ttfr = streaming.speedup_first_result_vs_batch * degrade;
+    eprintln!(
+        "bench_gate: streaming | first result {ttfr:5.2}x earlier than batch at quiescence ({} of \
+         {} reports)",
+        streaming.first_result_reports, streaming.reports,
+    );
+    if ttfr < min_ttfr {
+        violations.push(format!(
+            "streaming first result regressed to {ttfr:.2}x batch-at-quiescence (threshold \
+             {min_ttfr}x)"
+        ));
+    }
 
     if violations.is_empty() {
-        let ttfr = ttfr.expect("no violations means the streaming sweep was present");
         eprintln!(
             "bench_gate: PASS (batch {worst_batch:.2}x >= {min_batch}, warm {worst_warm:.2}x >= \
              {min_warm}, net {worst_net:.2}x <= {max_net}, streaming first result {ttfr:.2}x >= \

@@ -34,8 +34,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::Serialize;
-
+use stpp_bench::report::{BenchReport, ModeReport, PopulationReport, StreamingReport, SCHEMA};
 use stpp_bench::{baseline, benchmark_recording, cli};
 use stpp_core::{
     BatchLocalizer, LocalizationError, RelativeLocalizer, StppConfig, StppInput, StppResult,
@@ -45,8 +44,9 @@ use stpp_serve::{
     StppServer,
 };
 
-/// Timed repetitions per (population, mode) outside the cold/warm
-/// serving loop; the minimum and the median are reported.
+/// Rounds of the interleaved seed/sequential/batch loop, each timing one
+/// run of every mode, and repetitions of the networked mode; the minimum
+/// and the median are reported.
 const REPS: usize = 5;
 /// Rounds of the interleaved cold/warm serving loop. Each round times
 /// one cold request and then one warm one, so machine drift lands on
@@ -58,98 +58,6 @@ const SERVE_ROUNDS: usize = 25;
 const STREAMING_POLL_EVERY: usize = 25;
 /// Timed repetitions of the streaming sweep; minima are reported.
 const STREAMING_REPS: usize = 5;
-
-#[derive(Debug, Serialize)]
-struct ModeReport {
-    /// Minimum wall-clock time over the repetitions ([`REPS`], or
-    /// [`SERVE_ROUNDS`] for the cold and warm serving modes),
-    /// milliseconds.
-    localize_ms: f64,
-    /// Median wall-clock time over the repetitions, milliseconds.
-    median_ms: f64,
-    /// Number of tags the mode localized (quality guard: a faster path
-    /// must not silently drop tags).
-    localized: usize,
-}
-
-#[derive(Serialize)]
-struct PopulationReport {
-    /// Scenario name when the input came from `--scenario`, else `None`
-    /// (synthetic benchmark population). The gate ignores this field.
-    scenario: Option<String>,
-    tags: usize,
-    /// Time to build the `StppInput` from the recording (profile
-    /// extraction + closed-form closest-approach geometry), milliseconds.
-    input_build_ms: f64,
-    /// The seed implementation's code path: exact DTW, reference profile
-    /// regenerated and re-segmented per tag, fresh scratch per tag.
-    seed_sequential_exact: ModeReport,
-    /// Current sequential path (shared reference bank + scratch) on the
-    /// production configuration.
-    sequential: ModeReport,
-    /// Parallel batch engine on the production configuration.
-    batch: ModeReport,
-    /// Serving cold path: a fresh `LocalizationService` per request, so
-    /// every request rebuilds its reference banks (per-run behaviour).
-    serve_cold: ModeReport,
-    /// Serving warm path: one long-lived service, repeated same-geometry
-    /// requests (zero bank constructions after the first — asserted).
-    serve_warm: ModeReport,
-    /// Networked serving path: warm requests through `StppServer` /
-    /// `StppClient` over localhost TCP (serialization + framing + loopback
-    /// on top of `serve_warm`).
-    serve_net: ModeReport,
-    /// `seed_sequential_exact.localize_ms / batch.localize_ms`.
-    speedup_batch_vs_seed: f64,
-    /// `serve_cold.localize_ms / serve_warm.localize_ms`.
-    speedup_serve_warm_vs_cold: f64,
-    /// `serve_net.localize_ms / serve_warm.localize_ms` — the wire tax.
-    overhead_net_vs_warm: f64,
-}
-
-/// The streaming time-to-first-result sweep: the conveyor workload's
-/// report stream replayed into a [`stpp_serve::ServiceSession`],
-/// measuring how long the session takes to surface its first
-/// provisional estimate versus ingesting the whole stream and
-/// localizing at quiescence.
-#[derive(Serialize)]
-struct StreamingReport {
-    /// Scenario file the workload came from.
-    scenario: String,
-    /// Tag population of the workload.
-    tags: usize,
-    /// Reports in the replayed stream.
-    reports: usize,
-    /// Reports ingested when the first provisional estimate appeared
-    /// (deterministic in the workload — asserted stable across reps).
-    first_result_reports: usize,
-    /// Wall-clock from session open to the first provisional poll that
-    /// returned at least one estimated tag, milliseconds (minimum over
-    /// the repetitions). Includes the ingest + incremental-DTW work of
-    /// the stream prefix and every intermediate poll.
-    ttfr_streaming_ms: f64,
-    /// Wall-clock to ingest the whole stream and produce the final
-    /// batch result, milliseconds (minimum over the repetitions) — the
-    /// earliest a non-streaming consumer can see *any* ordering.
-    batch_quiescence_ms: f64,
-    /// `batch_quiescence_ms / ttfr_streaming_ms` — above 1.0 means the
-    /// first provisional answer landed before batch-at-quiescence
-    /// could. The gate floors this.
-    speedup_first_result_vs_batch: f64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    schema: &'static str,
-    smoke: bool,
-    /// Worker threads used by the batch modes.
-    threads: usize,
-    populations: Vec<PopulationReport>,
-    /// The streaming time-to-first-result sweep (always present: the
-    /// gate floors its first-result speedup in smoke and full runs
-    /// alike).
-    streaming: StreamingReport,
-}
 
 /// One mode's repetition timings. A localize failure is a harness or
 /// workload bug, never a benchmark result: it propagates so `main` exits
@@ -227,9 +135,17 @@ fn bench_input(
     let tags = input.observations.len();
     let config = StppConfig::default();
 
-    let seed_sequential_exact = time_mode(|| baseline::seed_localize(&input))?;
-    let sequential = time_mode(|| RelativeLocalizer::new(config).localize(&input))?;
-    let batch = time_mode(|| BatchLocalizer::new(config, threads).localize(&input))?;
+    // The seed, sequential and batch modes, interleaved round by round
+    // like the serving paths below.
+    let (mut seed, mut sequential, mut batch) =
+        (Timings::default(), Timings::default(), Timings::default());
+    for _ in 0..REPS {
+        seed.time(|| baseline::seed_localize(&input))?;
+        sequential.time(|| RelativeLocalizer::new(config).localize(&input))?;
+        batch.time(|| BatchLocalizer::new(config, threads).localize(&input))?;
+    }
+    let (seed_sequential_exact, sequential, batch) =
+        (seed.report(), sequential.report(), batch.report());
 
     // Serving paths, interleaved round by round: cold creates, uses and
     // drops a fresh service inside its own timing; warm reuses one
@@ -492,13 +408,8 @@ fn main() -> ExitCode {
     eprintln!("benchmarking streaming time-to-first-result…");
     let streaming = sweep_streaming(threads);
 
-    let report = BenchReport {
-        schema: "stpp-bench-pipeline/v10",
-        smoke,
-        threads,
-        populations: reports,
-        streaming,
-    };
+    let report =
+        BenchReport { schema: SCHEMA.to_string(), smoke, threads, populations: reports, streaming };
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(&out_path, json + "\n").expect("write benchmark report");
     eprintln!("wrote {out_path}");

@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
+pub mod report;
 
 pub use stpp_scenario::cli;
 

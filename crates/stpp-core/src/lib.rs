@@ -62,7 +62,4 @@ pub use reference::{
 };
 pub use segment::{Segment, SegmentedProfile};
 pub use streaming::{ProvisionalEstimate, StreamingTagTracker};
-pub use vzone::{
-    DetectError, DetectScratch, NaiveUnwrapDetector, QuadraticFit, VZone, VZoneDetection,
-    VZoneDetector,
-};
+pub use vzone::{DetectError, DetectScratch, QuadraticFit, VZone, VZoneDetection, VZoneDetector};

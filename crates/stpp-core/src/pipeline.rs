@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::ordering::{OrderingEngine, TagVZoneSummary, YOrderingStrategy};
 use crate::profile::TagObservations;
 use crate::reference::{ReferenceBankCache, ReferenceProfileParams};
-use crate::vzone::{DetectError, DetectScratch, NaiveUnwrapDetector, VZoneDetector};
+use crate::vzone::{DetectError, DetectScratch, VZoneDetector};
 
 /// Errors the pipeline can report.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,15 +57,6 @@ impl std::fmt::Display for LocalizationError {
 
 impl std::error::Error for LocalizationError {}
 
-/// Which V-zone detection algorithm the pipeline uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DetectionMethod {
-    /// The paper's segmented-DTW detector.
-    SegmentedDtw,
-    /// The naive global-unwrap detector (ablation baseline).
-    NaiveUnwrap,
-}
-
 /// Pipeline configuration. Detection always runs the paper's exact
 /// segmented DTW through one candidate screen (see [`VZoneDetector`]);
 /// these fields set the paper's parameters, not the algorithm.
@@ -85,8 +76,6 @@ pub struct StppConfig {
     /// reference profile (≈0.3 m reader-to-shelf distance in the paper's
     /// library setup; 0.35 m here to match the default sweep geometry).
     pub perpendicular_distance_m: f64,
-    /// V-zone detection method.
-    pub detection: DetectionMethod,
     /// Y ordering strategy (pivot vs full pairwise).
     pub y_strategy: YOrderingStrategy,
     /// Minimum number of reads a tag needs before we try to localize it.
@@ -101,7 +90,6 @@ impl Default for StppConfig {
             y_segments: 8,
             offset_candidates: 8,
             perpendicular_distance_m: 0.35,
-            detection: DetectionMethod::SegmentedDtw,
             y_strategy: YOrderingStrategy::Pivot,
             min_reads: 12,
         }
@@ -282,12 +270,11 @@ impl StppResult {
 /// The per-run detection engine shared by the sequential
 /// [`RelativeLocalizer`] and the parallel
 /// [`BatchLocalizer`](crate::batch::BatchLocalizer): the configured
-/// detectors plus the reference-bank cache every tag (and worker thread)
+/// detector plus the reference-bank cache every tag (and worker thread)
 /// shares.
 pub(crate) struct DetectionEngine {
     config: StppConfig,
     dtw_detector: VZoneDetector,
-    naive_detector: NaiveUnwrapDetector,
     cache: Arc<ReferenceBankCache>,
 }
 
@@ -311,12 +298,7 @@ impl DetectionEngine {
         let dtw_detector = VZoneDetector::new(reference_params)
             .with_window(config.window)
             .with_offset_candidates(config.offset_candidates);
-        Ok(DetectionEngine {
-            config,
-            dtw_detector,
-            naive_detector: NaiveUnwrapDetector::default(),
-            cache,
-        })
+        Ok(DetectionEngine { config, dtw_detector, cache })
     }
 
     /// Runs V-zone detection for one tag and condenses it into the
@@ -330,21 +312,18 @@ impl DetectionEngine {
         if obs.profile.len() < self.config.min_reads {
             return Ok(None);
         }
-        let detection = match self.config.detection {
-            DetectionMethod::SegmentedDtw => {
-                self.dtw_detector.detect_cached(&obs.profile, &self.cache, scratch)
-            }
-            DetectionMethod::NaiveUnwrap => self.naive_detector.detect(&obs.profile),
-        }
-        .map_err(|error| LocalizationError::MalformedProfile { id: obs.id, error })?;
+        let detection = self
+            .dtw_detector
+            .detect_cached(&obs.profile, &self.cache, scratch)
+            .map_err(|error| LocalizationError::MalformedProfile { id: obs.id, error })?;
         let Some(d) = detection else {
             return Ok(None);
         };
         // Prefer the window-length-normalised representation (fixed ±cap
         // grid anchored at the fitted bottom) so tags whose refinement
         // fell back to the quarter-wavelength cap window compare robustly
-        // with their wrap-bounded neighbours; the naive detector carries
-        // no cap and keeps the plain equal-count representation.
+        // with their wrap-bounded neighbours; a detection without a known
+        // cap keeps the plain equal-count representation.
         let coarse = d
             .normalized_coarse_representation(self.config.y_segments)
             .or_else(|| d.coarse_representation(self.config.y_segments))
@@ -775,21 +754,6 @@ mod tests {
         let result = RelativeLocalizer::with_defaults().localize(&input).unwrap();
         assert_eq!(result.undetected, vec![2]);
         assert_eq!(result.order_x, vec![1]);
-    }
-
-    #[test]
-    fn naive_detection_method_also_produces_an_ordering() {
-        let layout = RowLayout::new(0.0, 0.0, 0.1, 4).build();
-        let scenario =
-            ScenarioBuilder::new(11).antenna_sweep(&layout, AntennaSweepParams::default()).unwrap();
-        let truth_x = scenario.truth_order_x();
-        let recording = ReaderSimulation::new(scenario, 11).run();
-        let config =
-            StppConfig { detection: DetectionMethod::NaiveUnwrap, ..StppConfig::default() };
-        let result = RelativeLocalizer::new(config).localize_recording(&recording).unwrap();
-        // The naive method still works on reasonably clean data.
-        let acc = ordering_accuracy(&result.order_x, &truth_x);
-        assert!(acc >= 0.5, "naive accuracy {acc}");
     }
 
     #[test]

@@ -8,18 +8,13 @@
 //! also rides out missing samples and noise-induced wrap-arounds near the
 //! bottom.
 //!
-//! Two detectors are provided:
-//!
-//! * [`VZoneDetector`] — the paper's approach (segmented DTW + quadratic
-//!   fitting). Because the hardware phase offset `μ` of the measured
-//!   profile is unknown, the detector tries a small set of candidate
-//!   offsets applied to the reference and keeps the lowest-cost match.
-//!   Every candidate is scored by exact DTW; a lockstep screen
-//!   ([`dtw_screen_lockstep`]) only skips the alignments that provably
-//!   cannot win, so the chosen candidate is the exhaustive argmin.
-//! * [`NaiveUnwrapDetector`] — the "straightforward solution" the paper
-//!   argues against: unwrap the whole profile and take the global minimum.
-//!   Kept as an ablation baseline.
+//! [`VZoneDetector`] is the paper's approach (segmented DTW + quadratic
+//! fitting). Because the hardware phase offset `μ` of the measured
+//! profile is unknown, the detector tries a small set of candidate
+//! offsets applied to the reference and keeps the lowest-cost match.
+//! Every candidate is scored by exact DTW; a lockstep screen
+//! ([`dtw_screen_lockstep`]) only skips the alignments that provably
+//! cannot win, so the chosen candidate is the exhaustive argmin.
 
 use std::sync::Arc;
 
@@ -214,17 +209,16 @@ pub struct VZoneDetection {
     pub nadir_time_s: f64,
     /// Estimated phase at the nadir, wrapped to `[0, 2π)`.
     pub nadir_phase: f64,
-    /// The DTW matching cost (lower = better match); `None` for the naive
-    /// detector.
+    /// The DTW matching cost (lower = better match); `None` when unknown.
     pub match_cost: Option<f64>,
     /// Index of the winning hardware-offset candidate in the detector's
-    /// [`ReferenceBank`] (`None` for the naive detector). Exposed so the
+    /// [`ReferenceBank`] (`None` when unknown). Exposed so the
     /// exactness suite can check the candidate screen's argmin, not just
     /// the end result.
     pub offset_index: Option<usize>,
     /// The quarter-wavelength refinement cap
     /// ([`ReferenceBank::max_half_duration_s`]) the detection was refined
-    /// under, seconds; `0.0` when unknown (naive detector). Feeds the
+    /// under, seconds; `0.0` when unknown. Feeds the
     /// window-length-normalised coarse representation.
     pub cap_half_duration_s: f64,
 }
@@ -272,7 +266,7 @@ impl VZoneDetection {
     /// means across the 0/2π seam.
     ///
     /// Returns `None` when `k` is zero, the V-zone has fewer than `k`
-    /// samples, or no cap is known (naive detector) — callers fall back
+    /// samples, or no cap is known — callers fall back
     /// to the plain equal-count representation.
     pub fn normalized_coarse_representation(&self, k: usize) -> Option<Vec<f64>> {
         let n = self.vzone.profile.len();
@@ -496,10 +490,6 @@ fn refine_vzone(
         end_idx: abs_end,
         profile: measured.slice(abs_start..abs_end),
     })
-}
-
-fn fit_vzone(vzone: &VZone) -> Result<(Option<QuadraticFit>, f64, f64), DetectError> {
-    fit_vzone_with(vzone, &mut Vec::new(), &mut Vec::new())
 }
 
 fn fit_vzone_with(
@@ -956,59 +946,6 @@ impl ScreenCtx<'_> {
     }
 }
 
-/// The naive alternative: unwrap the whole profile and take the global
-/// minimum. Vulnerable to the fragmentary, noisy segments outside the
-/// V-zone (the reason the paper uses DTW), but useful as an ablation
-/// baseline and as a fallback when no reference geometry is known.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NaiveUnwrapDetector {
-    /// Half-width of the window (in samples) taken around the minimum for
-    /// the quadratic fit.
-    pub half_window: usize,
-    /// Minimum number of samples a profile must have to be processed.
-    pub min_samples: usize,
-}
-
-impl Default for NaiveUnwrapDetector {
-    fn default() -> Self {
-        NaiveUnwrapDetector { half_window: 15, min_samples: 8 }
-    }
-}
-
-impl NaiveUnwrapDetector {
-    /// Detects the nadir by global unwrapping. Returns `Ok(None)` when the
-    /// profile is too short, `Err` when it is malformed (see
-    /// [`DetectError`]).
-    pub fn detect(&self, measured: &PhaseProfile) -> Result<Option<VZoneDetection>, DetectError> {
-        if measured.len() < self.min_samples {
-            return Ok(None);
-        }
-        validate_profile(measured)?;
-        let unwrapped = measured.unwrapped_phases();
-        let Some(min_idx) =
-            unwrapped.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i)
-        else {
-            return Ok(None);
-        };
-        let start = min_idx.saturating_sub(self.half_window);
-        let end = (min_idx + self.half_window + 1).min(measured.len());
-        let vzone = VZone { start_idx: start, end_idx: end, profile: measured.slice(start..end) };
-        if vzone.profile.len() < 3 {
-            return Ok(None);
-        }
-        let (fit, nadir_time_s, nadir_phase) = fit_vzone(&vzone)?;
-        Ok(Some(VZoneDetection {
-            vzone,
-            fit,
-            nadir_time_s,
-            nadir_phase,
-            match_cost: None,
-            offset_index: None,
-            cap_half_duration_s: 0.0,
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1180,14 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_detector_finds_nadir_of_clean_profile() {
-        let profile = synthetic_profile(1.0, 0.3, 0.1, 2.0, 0.03);
-        let detection = NaiveUnwrapDetector::default().detect(&profile).unwrap().unwrap();
-        assert!((detection.nadir_time_s - 10.0).abs() < 0.6);
-        assert!(detection.match_cost.is_none());
-    }
-
-    #[test]
     fn coarse_representation_has_k_values_in_range() {
         let profile = synthetic_profile(1.0, 0.3, 0.1, 2.0, 0.03);
         let params = ReferenceProfileParams::new(0.1, 0.3, wavelength());
@@ -1248,7 +1177,7 @@ mod tests {
     fn non_finite_samples_are_rejected_with_a_typed_error() {
         // Regression: profiles that bypass `from_pairs` sanitisation (e.g.
         // deserialized recordings) used to panic inside the gap-median
-        // selection on NaN timestamps. Both detectors now reject them with
+        // selection on NaN timestamps. The detector now rejects them with
         // a typed error naming the offending sample.
         use crate::profile::PhaseSample;
         let mut samples: Vec<PhaseSample> = (0..40)
@@ -1259,10 +1188,6 @@ mod tests {
         let params = ReferenceProfileParams::new(0.1, 0.3, wavelength());
         assert_eq!(
             VZoneDetector::new(params).detect(&malformed),
-            Err(DetectError::NonFiniteSample { index: 7 })
-        );
-        assert_eq!(
-            NaiveUnwrapDetector::default().detect(&malformed),
             Err(DetectError::NonFiniteSample { index: 7 })
         );
         samples[7].time_s = 0.35;
@@ -1283,7 +1208,10 @@ mod tests {
         // degenerate V-zone must surface `DetectError::EmptyVZone` instead
         // of inventing a nadir at the first sample.
         let vzone = VZone { start_idx: 0, end_idx: 0, profile: PhaseProfile::from_pairs(&[]) };
-        assert_eq!(fit_vzone(&vzone), Err(DetectError::EmptyVZone));
+        assert_eq!(
+            fit_vzone_with(&vzone, &mut Vec::new(), &mut Vec::new()),
+            Err(DetectError::EmptyVZone)
+        );
     }
 
     #[test]

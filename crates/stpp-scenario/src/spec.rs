@@ -6,11 +6,15 @@
 //! request schedule, optional wire impairments, and the end-of-run
 //! [`Expectations`] the runner enforces.
 //!
-//! The parser is written by hand over the raw [`serde::Value`] tree (the
-//! derive layer would silently ignore unknown fields): every error is a
-//! typed [`ScenarioError`] carrying the JSON path of the offending
-//! field, unknown fields are rejected, and hostile documents — malformed
-//! JSON, non-finite knobs, bad duration strings — never panic.
+//! The parser is written by hand over the raw [`serde::Value`] tree from
+//! `serde_json::parse`, because a scenario file is written by people,
+//! not by the derived writers, and the derived readers accept only the
+//! canonical layout those write. By hand, fields may come in any order
+//! and optional ones take their defaults; every error is a typed
+//! [`ScenarioError`] carrying the JSON path of the offending field,
+//! unknown fields are rejected, and hostile documents — malformed or
+//! too deeply nested JSON, non-finite knobs, bad duration strings — never
+//! panic.
 //! Serialization ([`ScenarioSpec::to_json`]) emits a canonical
 //! pretty-printed form such that `parse(serialize(s)) == s` for every
 //! valid spec.
@@ -1158,8 +1162,8 @@ fn parse_expectations(value: &Value, path: &str) -> Result<Expectations, Scenari
 impl ScenarioSpec {
     /// Parses a scenario from its JSON text.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, ScenarioError> {
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| ScenarioError::Json { reason: e.to_string() })?;
+        let value =
+            serde_json::parse(text).map_err(|e| ScenarioError::Json { reason: e.to_string() })?;
         ScenarioSpec::from_value(&value)
     }
 

@@ -160,3 +160,12 @@ fn duplicated_fields_are_rejected() {
         Err(ScenarioError::UnknownField { path: "seed".to_string() })
     );
 }
+
+#[test]
+fn deeply_nested_documents_are_typed_json_errors() {
+    // Parsed without a depth bound, 100,000 nested arrays overflow the
+    // stack and abort the process.
+    for text in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+        assert!(matches!(ScenarioSpec::from_json(&text), Err(ScenarioError::Json { .. })));
+    }
+}

@@ -18,18 +18,22 @@
 //! the property the serving layer's "responses are bit-identical to the
 //! in-process service" guarantee rests on.
 //!
-//! Encoding builds nothing in between: every frame is written straight
-//! into its buffer from the message's [`Serialize`] events
+//! Neither direction builds anything in between. Every frame is written
+//! straight into its buffer from the message's [`Serialize`] events
 //! ([`encode_frame`], and through it [`write_frame`];
 //! [`encode_localize_request_into`] does the same over a borrowed
-//! input).
+//! input). Every frame is read straight from its bytes by the message's
+//! derived [`Deserialize`] reader, with the payload decoder as its
+//! [`Deserializer`] source ([`decode_frame`], [`read_frame`]).
 //!
-//! Decoding goes through the [`Message`] trait. The hot frames carry one
-//! small map per phase sample, report or tag: the `Localize` and
-//! `IngestReports` requests, and the `Localized`, `Flushed` and
-//! `Provisional` responses. They are read straight into typed structs
-//! from the bytes, in canonical field order. Every other variant decodes
-//! through the derive-based [`Value`] tree.
+//! The reader accepts only the canonical layout the writer emits: every
+//! struct field in declaration order, nothing missing and nothing extra,
+//! every float tagged as a float and every integer in its type's range.
+//! Anything else is [`ProtoError::Malformed`]. A sequence whose count the
+//! bytes left cannot hold is [`ProtoError::Truncated`] before anything is
+//! allocated for it, and no sequence reserves more memory up front than
+//! the payload has bytes left. There is no depth bound: the readers nest
+//! only as deep as the message types do, and none of those is recursive.
 //!
 //! Clients send [`Request`] frames and read [`Response`] frames; a
 //! connection is a strict request/response alternation, so responses come
@@ -40,13 +44,11 @@
 
 use std::io::{Read, Write};
 
-use serde::{Deserialize, Serialize, Serializer, Value};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use stpp_core::{LocalizationError, StppInput};
 
 use crate::service::{LocalizationResponse, ServiceStats};
 use crate::session::{IngestError, ProvisionalOrdering, SessionGeometry};
-
-mod typed;
 
 /// The 4-byte frame magic.
 pub const MAGIC: [u8; 4] = *b"STPP";
@@ -58,9 +60,6 @@ pub const PROTOCOL_VERSION: u16 = 1;
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 /// Frame header size: magic + version + payload length.
 pub const HEADER_LEN: usize = 10;
-/// Maximum nesting depth a decoded payload may have (a hostile payload of
-/// nested sequences must not blow the stack).
-const MAX_DEPTH: usize = 64;
 
 /// Typed protocol failures. Decoding never panics: every malformed input
 /// maps onto one of these.
@@ -123,6 +122,18 @@ impl From<std::io::Error> for ProtoError {
     fn from(e: std::io::Error) -> Self {
         ProtoError::Io { kind: e.kind(), message: e.to_string() }
     }
+}
+
+/// A derived reader's own error (a wrong field count, an unknown variant,
+/// an integer out of range) is a malformed payload.
+impl From<serde::Error> for ProtoError {
+    fn from(e: serde::Error) -> Self {
+        malformed(e.to_string())
+    }
+}
+
+fn malformed(reason: String) -> ProtoError {
+    ProtoError::Malformed { reason }
 }
 
 /// One reader report on the wire: the minimal `(tag, time, phase)`
@@ -438,150 +449,175 @@ impl Serializer for PayloadWriter<'_> {
     }
 }
 
-/// The encoder the frames used to go through: the whole [`Value`] tree
-/// first, then its bytes. Kept as the oracle the direct writer is tested
-/// against.
-#[cfg(test)]
-fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::I64(n) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            encode_bytes(s.as_bytes(), out);
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (key, val) in entries {
-                encode_bytes(key.as_bytes(), out);
-                encode_value(val, out);
-            }
-        }
-    }
-}
-
 fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
 }
 
-/// Cursor over a payload slice; every read is bounds-checked.
+/// Cursor over a payload slice; every read is bounds-checked. It is the
+/// [`Deserializer`] source every message's reader pulls from.
 struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    /// The bytes not read yet.
+    rest: &'a [u8],
 }
 
+// The per-field reads carry `#[inline(always)]`: they run once per field
+// of every sample, report or tag, inside readers generic over the source,
+// and under plain `#[inline]` the release build kept them out of line, one
+// call per field.
 impl<'a> Decoder<'a> {
+    #[inline(always)]
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::Truncated)?;
-        if end > self.bytes.len() {
+        if n > self.rest.len() {
             return Err(ProtoError::Truncated);
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Bytes not read yet.
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
 
     /// Rejects bytes left over after a complete message.
     fn finish(&self) -> Result<(), ProtoError> {
         match self.remaining() {
             0 => Ok(()),
-            left => Err(ProtoError::Malformed { reason: format!("{left} trailing payload bytes") }),
+            left => Err(malformed(format!("{left} trailing payload bytes"))),
         }
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, ProtoError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    /// A tag byte, which must be `expected`.
+    fn tag(&mut self, expected: u8) -> Result<(), ProtoError> {
+        match self.take(1)?[0] {
+            found if found == expected => Ok(()),
+            found => Err(wrong_tag(found, expected)),
+        }
     }
 
-    fn str(&mut self) -> Result<String, ProtoError> {
+    /// A scalar tagged `tag`, as its raw 8 bytes.
+    #[inline(always)]
+    fn scalar(&mut self, tag: u8) -> Result<u64, ProtoError> {
+        let scalar = self.take(9)?;
+        if scalar[0] != tag {
+            return Err(wrong_tag(scalar[0], tag));
+        }
+        Ok(u64::from_le_bytes(scalar[1..].try_into().expect("8 bytes")))
+    }
+
+    /// Length-prefixed UTF-8: a string's body or a variant name.
+    fn text(&mut self) -> Result<&'a str, ProtoError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ProtoError::Malformed { reason: "invalid UTF-8 string".into() })
+        std::str::from_utf8(self.take(len)?).map_err(|_| malformed("invalid UTF-8 string".into()))
     }
 
-    /// A container claiming `count` elements must have at least one byte
-    /// of payload per element left — rejects length bombs before any
-    /// allocation grows.
-    fn check_count(&self, count: u32) -> Result<usize, ProtoError> {
-        let count = count as usize;
+    /// A container tagged `tag` and its count. A container claiming
+    /// `count` items must have at least one byte of payload per item left,
+    /// which rejects length bombs before anything is allocated for them.
+    #[inline(always)]
+    fn container(&mut self, tag: u8) -> Result<usize, ProtoError> {
+        let header = self.take(5)?;
+        if header[0] != tag {
+            return Err(wrong_tag(header[0], tag));
+        }
+        let count = u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize;
         if count > self.remaining() {
             return Err(ProtoError::Truncated);
         }
         Ok(count)
     }
+}
 
-    fn value(&mut self, depth: usize) -> Result<Value, ProtoError> {
-        if depth > MAX_DEPTH {
-            return Err(ProtoError::Malformed {
-                reason: format!("nesting deeper than {MAX_DEPTH}"),
-            });
+fn wrong_tag(found: u8, expected: u8) -> ProtoError {
+    malformed(format!("value tag {found} where tag {expected} belongs"))
+}
+
+impl Deserializer for Decoder<'_> {
+    type Error = ProtoError;
+
+    fn null(&mut self) -> Result<(), ProtoError> {
+        self.tag(TAG_NULL)
+    }
+
+    #[inline(always)]
+    fn bool(&mut self) -> Result<bool, ProtoError> {
+        match self.take(1)?[0] {
+            TAG_FALSE => Ok(false),
+            TAG_TRUE => Ok(true),
+            found => Err(malformed(format!("value tag {found} where a boolean belongs"))),
         }
-        match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_FALSE => Ok(Value::Bool(false)),
-            TAG_TRUE => Ok(Value::Bool(true)),
-            TAG_U64 => Ok(Value::U64(self.u64()?)),
-            TAG_I64 => Ok(Value::I64(self.u64()? as i64)),
-            TAG_F64 => Ok(Value::F64(f64::from_bits(self.u64()?))),
-            TAG_STR => Ok(Value::Str(self.str()?)),
-            TAG_SEQ => {
-                let raw = self.u32()?;
-                let count = self.check_count(raw)?;
-                let mut items = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Seq(items))
-            }
-            TAG_MAP => {
-                let raw = self.u32()?;
-                let count = self.check_count(raw)?;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let key = self.str()?;
-                    let val = self.value(depth + 1)?;
-                    entries.push((key, val));
-                }
-                Ok(Value::Map(entries))
-            }
-            tag => Err(ProtoError::Malformed { reason: format!("unknown value tag {tag}") }),
+    }
+
+    #[inline(always)]
+    fn u64(&mut self) -> Result<u64, ProtoError> {
+        self.scalar(TAG_U64)
+    }
+
+    /// Non-negative integers are written as `u64`s, so either tag reads.
+    fn i64(&mut self) -> Result<i64, ProtoError> {
+        let scalar = self.take(9)?;
+        let raw = u64::from_le_bytes(scalar[1..].try_into().expect("8 bytes"));
+        match scalar[0] {
+            TAG_I64 => Ok(raw as i64),
+            TAG_U64 => i64::try_from(raw)
+                .map_err(|_| malformed(format!("integer {raw} out of range for i64"))),
+            found => Err(malformed(format!("value tag {found} where an integer belongs"))),
         }
+    }
+
+    #[inline(always)]
+    fn f64(&mut self) -> Result<f64, ProtoError> {
+        self.scalar(TAG_F64).map(f64::from_bits)
+    }
+
+    fn str(&mut self) -> Result<&str, ProtoError> {
+        self.tag(TAG_STR)?;
+        self.text()
+    }
+
+    #[inline(always)]
+    fn seq(&mut self) -> Result<usize, ProtoError> {
+        self.container(TAG_SEQ)
+    }
+
+    #[inline(always)]
+    fn map(&mut self) -> Result<usize, ProtoError> {
+        self.container(TAG_MAP)
+    }
+
+    #[inline(always)]
+    fn key(&mut self, name: &str) -> Result<(), ProtoError> {
+        let key = self.take(4 + name.len())?;
+        if key[..4] != (name.len() as u32).to_le_bytes() || &key[4..] != name.as_bytes() {
+            return Err(malformed(format!("expected field `{name}`")));
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn option(&mut self) -> Result<bool, ProtoError> {
+        let is_null = *self.rest.first().ok_or(ProtoError::Truncated)? == TAG_NULL;
+        if is_null {
+            self.rest = &self.rest[1..];
+        }
+        Ok(!is_null)
+    }
+
+    fn variant(&mut self) -> Result<(&str, bool), ProtoError> {
+        match self.take(1)?[0] {
+            TAG_STR => Ok((self.text()?, false)),
+            TAG_MAP => match self.u32()? {
+                1 => Ok((self.text()?, true)),
+                len => Err(malformed(format!("an enum is a map of {len} entries, not 1"))),
+            },
+            found => Err(malformed(format!("value tag {found} where an enum belongs"))),
+        }
+    }
+
+    #[inline(always)]
+    fn remaining(&self) -> usize {
+        self.rest.len()
     }
 }
 
@@ -636,43 +672,18 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<usize, ProtoError> {
     Ok(payload_len)
 }
 
-/// A message that frames decode into: [`Request`] or [`Response`]. The
-/// slice and stream decoders both hand the complete payload to
-/// [`decode_payload`](Self::decode_payload).
-pub trait Message: Sized {
-    /// Decodes one complete frame payload.
-    fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError>;
-}
-
-/// `Localize` and `IngestReports` are read straight into typed structs;
-/// every other variant goes through the derive-based tree.
-impl Message for Request {
-    fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
-        typed::decode_hot_request(payload).unwrap_or_else(|| decode_tree(payload))
-    }
-}
-
-/// `Localized`, `Flushed` and `Provisional` are read straight into typed
-/// structs; every other variant goes through the derive-based tree.
-impl Message for Response {
-    fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
-        typed::decode_hot_response(payload).unwrap_or_else(|| decode_tree(payload))
-    }
-}
-
-/// Decodes a payload through the derive path: the whole [`Value`] tree
-/// first, then the message from the tree.
-fn decode_tree<T: Deserialize>(payload: &[u8]) -> Result<T, ProtoError> {
-    let mut decoder = Decoder { bytes: payload, pos: 0 };
-    let value = decoder.value(0)?;
+/// Reads one message from a complete frame payload, which it must use up.
+fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, ProtoError> {
+    let mut decoder = Decoder { rest: payload };
+    let message = T::deserialize(&mut decoder)?;
     decoder.finish()?;
-    T::from_value(&value).map_err(|e| ProtoError::Malformed { reason: e.to_string() })
+    Ok(message)
 }
 
 /// Decodes one frame from the front of `bytes`, returning the message and
 /// the number of bytes consumed. Trailing bytes (the next frame) are left
 /// untouched.
-pub fn decode_frame<T: Message>(bytes: &[u8]) -> Result<(T, usize), ProtoError> {
+pub fn decode_frame<T: Deserialize>(bytes: &[u8]) -> Result<(T, usize), ProtoError> {
     if bytes.len() < HEADER_LEN {
         return Err(ProtoError::Truncated);
     }
@@ -682,7 +693,7 @@ pub fn decode_frame<T: Message>(bytes: &[u8]) -> Result<(T, usize), ProtoError> 
     if bytes.len() < end {
         return Err(ProtoError::Truncated);
     }
-    let message = T::decode_payload(&bytes[HEADER_LEN..end])?;
+    let message = decode_payload(&bytes[HEADER_LEN..end])?;
     Ok((message, end))
 }
 
@@ -731,7 +742,7 @@ pub fn write_frame<W: Write, T: Serialize>(writer: &mut W, message: &T) -> Resul
 /// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer closed the connection); EOF mid-frame is
 /// [`ProtoError::Truncated`].
-pub fn read_frame<R: Read, T: Message>(reader: &mut R) -> Result<Option<T>, ProtoError> {
+pub fn read_frame<R: Read, T: Deserialize>(reader: &mut R) -> Result<Option<T>, ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
     while filled < HEADER_LEN {
@@ -752,12 +763,21 @@ pub fn read_frame<R: Read, T: Message>(reader: &mut R) -> Result<Option<T>, Prot
             ProtoError::from(e)
         }
     })?;
-    T::decode_payload(&payload).map(Some)
+    decode_payload(&payload).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rfid_gen2::Epc;
+    use serde::Value;
+    use stpp_core::{
+        BankCacheStats, PhaseProfile, PhaseSample, StppResult, TagObservations, TagVZoneSummary,
+    };
+
     use super::*;
+    use crate::service::RequestMetrics;
+    use crate::session::{ProvisionalTag, SessionGeometry};
 
     #[test]
     fn frame_round_trips_a_request() {
@@ -829,13 +849,16 @@ mod tests {
     }
 
     #[test]
-    fn the_direct_writer_matches_the_tree_encoder_on_every_scalar_kind() {
+    fn every_scalar_kind_round_trips() {
         // The golden frames cover every message; no message carries a
         // negative integer, a char or a unit, so they are checked here.
-        let message = (-3i64, (i8::MIN, u8::MAX), ("s", 'c', ()), (true, -0.0f64, None::<u8>));
-        let mut tree = Vec::new();
-        encode_value(&message.to_value(), &mut tree);
-        assert_eq!(encode_frame(&message).expect("encode")[HEADER_LEN..], tree[..]);
+        type Scalars = (i64, (i8, u8, i32), (String, char, ()), (bool, f64, Option<u8>));
+        let message: Scalars =
+            (-3, (i8::MIN, u8::MAX, 7), ("s".into(), 'c', ()), (true, -0.0, None));
+        let (back, _): (Scalars, usize) =
+            decode_frame(&encode_frame(&message).expect("encode")).expect("decode");
+        assert_eq!(back, message);
+        assert_eq!(back.3 .1.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -915,5 +938,475 @@ mod tests {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
         assert!(matches!(decode_frame::<Request>(&frame), Err(ProtoError::Malformed { .. })));
+    }
+
+    /// The payload of a message's frame.
+    fn payload<T: Serialize>(message: &T) -> Vec<u8> {
+        encode_frame(message).expect("encode")[HEADER_LEN..].to_vec()
+    }
+
+    /// A frame around a hand-built payload.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// Any `f64` bit pattern, NaNs, infinities and subnormals included.
+    fn any_f64() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(f64::from_bits)
+    }
+
+    fn arb_epc() -> impl Strategy<Value = Epc> {
+        prop::collection::vec(any::<u16>(), 6)
+            .prop_map(|words| Epc::from_words(words.try_into().expect("six words")))
+    }
+
+    fn arb_observation() -> impl Strategy<Value = TagObservations> {
+        (any::<u64>(), arb_epc(), prop::collection::vec((any_f64(), any_f64()), 0..400)).prop_map(
+            |(id, epc, pairs)| TagObservations {
+                id,
+                epc,
+                profile: PhaseProfile::from_samples(
+                    pairs
+                        .into_iter()
+                        .map(|(time_s, phase_rad)| PhaseSample { time_s, phase_rad })
+                        .collect(),
+                ),
+            },
+        )
+    }
+
+    fn arb_hot_request() -> impl Strategy<Value = Request> {
+        prop_oneof![
+            (
+                prop::collection::vec(arb_observation(), 0..5),
+                any_f64(),
+                any_f64(),
+                prop::option::of(any_f64()),
+                prop::option::of(any::<u64>()),
+            )
+                .prop_map(
+                    |(observations, speed, wavelength, perpendicular, threads)| {
+                        Request::Localize {
+                            input: StppInput {
+                                observations,
+                                nominal_speed_mps: speed,
+                                wavelength_m: wavelength,
+                                perpendicular_distance_m: perpendicular,
+                            },
+                            threads,
+                        }
+                    }
+                ),
+            (any::<u64>(), prop::collection::vec((any::<u64>(), any_f64(), any_f64()), 0..600))
+                .prop_map(|(session, reports)| Request::IngestReports {
+                    session,
+                    reports: reports
+                        .into_iter()
+                        .map(|(epc_serial, time_s, phase_rad)| WireReport {
+                            epc_serial,
+                            time_s,
+                            phase_rad,
+                        })
+                        .collect(),
+                }),
+        ]
+    }
+
+    fn arb_summary() -> impl Strategy<Value = TagVZoneSummary> {
+        (any::<u64>(), any_f64(), any_f64(), prop::collection::vec(any_f64(), 0..12), any_f64())
+            .prop_map(|(id, nadir_time_s, nadir_phase, coarse, vzone_duration_s)| TagVZoneSummary {
+                id,
+                nadir_time_s,
+                nadir_phase,
+                coarse,
+                vzone_duration_s,
+            })
+    }
+
+    fn arb_metrics() -> impl Strategy<Value = RequestMetrics> {
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (any_f64(), any_f64(), any_f64(), any_f64()),
+        )
+            .prop_map(|(counts, (hits, misses, builds), seconds)| {
+                let (tags, localized, undetected, threads, geometry_cache_hit) = counts;
+                let (prepare_seconds, detect_seconds, order_seconds, total_seconds) = seconds;
+                RequestMetrics {
+                    tags: tags as usize,
+                    localized: localized as usize,
+                    undetected: undetected as usize,
+                    threads: threads as usize,
+                    geometry_cache_hit,
+                    bank_cache: BankCacheStats { hits, misses, builds },
+                    prepare_seconds,
+                    detect_seconds,
+                    order_seconds,
+                    total_seconds,
+                }
+            })
+    }
+
+    fn arb_localization() -> impl Strategy<Value = LocalizationResponse> {
+        let ids = || prop::collection::vec(any::<u64>(), 0..40);
+        (ids(), ids(), prop::collection::vec(arb_summary(), 0..40), ids(), arb_metrics()).prop_map(
+            |(order_x, order_y, summaries, undetected, metrics)| LocalizationResponse {
+                result: StppResult { order_x, order_y, summaries, undetected },
+                metrics,
+            },
+        )
+    }
+
+    fn arb_provisional_tag() -> impl Strategy<Value = ProvisionalTag> {
+        (arb_epc(), any_f64(), any_f64(), any::<u64>(), prop::option::of(any_f64())).prop_map(
+            |(epc, nadir_time_s, confidence, samples, match_cost)| ProvisionalTag {
+                epc,
+                nadir_time_s,
+                confidence,
+                samples,
+                match_cost,
+            },
+        )
+    }
+
+    fn arb_hot_response() -> impl Strategy<Value = Response> {
+        prop_oneof![
+            arb_localization().prop_map(|response| Response::Localized { response }),
+            (any::<u64>(), prop::option::of(arb_localization()))
+                .prop_map(|(session, outcome)| Response::Flushed { session, outcome }),
+            (
+                any::<u64>(),
+                prop::collection::vec(arb_provisional_tag(), 0..60),
+                any::<u64>(),
+                any::<u64>()
+            )
+                .prop_map(|(session, order_x, tags_estimated, tags_pending)| {
+                    Response::Provisional {
+                        session,
+                        ordering: ProvisionalOrdering { order_x, tags_estimated, tags_pending },
+                    }
+                }),
+        ]
+    }
+
+    /// Decodes `frame` as a `T` and re-encodes it: a strict reader accepts
+    /// only the canonical bytes, so what it accepts re-encodes to itself.
+    fn re_encoded<T: Serialize + Deserialize>(frame: &[u8]) -> Option<Vec<u8>> {
+        decode_frame::<T>(frame).ok().map(|(message, _)| encode_frame(&message).expect("encode"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hot_requests_re_encode_to_the_same_bytes(request in arb_hot_request()) {
+            // Re-encoding compares bit for bit, NaN payloads included.
+            let frame = encode_frame(&request).expect("encode");
+            prop_assert_eq!(re_encoded::<Request>(&frame), Some(frame));
+        }
+
+        #[test]
+        fn hot_responses_re_encode_to_the_same_bytes(response in arb_hot_response()) {
+            let frame = encode_frame(&response).expect("encode");
+            prop_assert_eq!(re_encoded::<Response>(&frame), Some(frame));
+        }
+
+        #[test]
+        fn whatever_a_corrupted_request_decodes_to_re_encodes_to_its_bytes(
+            request in arb_hot_request(),
+            offset in any::<prop::sample::Index>(),
+            xor in 1u8..=255,
+        ) {
+            let mut frame = encode_frame(&request).expect("encode");
+            let i = HEADER_LEN + offset.index(frame.len() - HEADER_LEN);
+            frame[i] ^= xor;
+            if let Some(bytes) = re_encoded::<Request>(&frame) {
+                prop_assert_eq!(bytes, frame);
+            }
+        }
+
+        #[test]
+        fn whatever_a_corrupted_response_decodes_to_re_encodes_to_its_bytes(
+            response in arb_hot_response(),
+            offset in any::<prop::sample::Index>(),
+            xor in 1u8..=255,
+        ) {
+            let mut frame = encode_frame(&response).expect("encode");
+            let i = HEADER_LEN + offset.index(frame.len() - HEADER_LEN);
+            frame[i] ^= xor;
+            if let Some(bytes) = re_encoded::<Response>(&frame) {
+                prop_assert_eq!(bytes, frame);
+            }
+        }
+    }
+
+    /// A one-tag, three-sample `Localize` request.
+    fn localize_request() -> Request {
+        let samples = (0..3)
+            .map(|k| PhaseSample { time_s: 0.25 * k as f64, phase_rad: 1.5 + k as f64 })
+            .collect();
+        Request::Localize {
+            input: StppInput {
+                observations: vec![TagObservations {
+                    id: 7,
+                    epc: Epc::from_serial(7),
+                    profile: PhaseProfile::from_samples(samples),
+                }],
+                nominal_speed_mps: 0.3,
+                wavelength_m: 0.326,
+                perpendicular_distance_m: Some(1.4),
+            },
+            threads: None,
+        }
+    }
+
+    /// A two-tag localization answer.
+    fn localization_response() -> LocalizationResponse {
+        let summary = |id: u64| TagVZoneSummary {
+            id,
+            nadir_time_s: 1.0 + id as f64,
+            nadir_phase: 0.5,
+            coarse: vec![0.25, 0.75],
+            vzone_duration_s: 0.4,
+        };
+        LocalizationResponse {
+            result: StppResult {
+                order_x: vec![1, 0],
+                order_y: vec![0, 1],
+                summaries: vec![summary(0), summary(1)],
+                undetected: vec![2],
+            },
+            metrics: RequestMetrics {
+                tags: 3,
+                localized: 2,
+                undetected: 1,
+                threads: 1,
+                geometry_cache_hit: false,
+                bank_cache: BankCacheStats { hits: 0, misses: 2, builds: 2 },
+                prepare_seconds: 1e-4,
+                detect_seconds: 2e-3,
+                order_seconds: 1e-5,
+                total_seconds: 2.2e-3,
+            },
+        }
+    }
+
+    /// A one-tag provisional answer.
+    fn provisional_response() -> Response {
+        let tag = ProvisionalTag {
+            epc: Epc::from_serial(4),
+            nadir_time_s: 2.5,
+            confidence: 0.5,
+            samples: 40,
+            match_cost: Some(0.125),
+        };
+        Response::Provisional {
+            session: 6,
+            ordering: ProvisionalOrdering {
+                order_x: vec![tag],
+                tags_estimated: 1,
+                tags_pending: 0,
+            },
+        }
+    }
+
+    /// The node at `path` in a tree: map entries by key, sequence items
+    /// by index.
+    fn node<'v>(mut value: &'v mut Value, path: &[&str]) -> &'v mut Value {
+        for step in path {
+            value = match value {
+                Value::Map(entries) => {
+                    &mut entries.iter_mut().find(|(key, _)| key == step).expect("key").1
+                }
+                Value::Seq(items) => &mut items[step.parse::<usize>().expect("index")],
+                other => panic!("no `{step}` in {other:?}"),
+            };
+        }
+        value
+    }
+
+    /// The frame of `message` after `edit` changed the node at `path` of
+    /// its tree.
+    fn edited<T: Serialize>(message: &T, path: &[&str], edit: impl FnOnce(&mut Value)) -> Vec<u8> {
+        let mut tree = message.to_value();
+        edit(node(&mut tree, path));
+        encode_frame(&tree).expect("encode")
+    }
+
+    /// Swaps the first two fields of a map.
+    fn reorder(fields: &mut Value) {
+        let Value::Map(fields) = fields else { panic!("not a map") };
+        fields.swap(0, 1);
+    }
+
+    /// Appends a field to a map.
+    fn extend(fields: &mut Value) {
+        let Value::Map(fields) = fields else { panic!("not a map") };
+        fields.push(("extra".into(), Value::U64(0)));
+    }
+
+    fn assert_malformed<T: Deserialize + std::fmt::Debug>(frame: &[u8]) {
+        match decode_frame::<T>(frame) {
+            Err(ProtoError::Malformed { .. }) => {}
+            other => panic!("expected a Malformed error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_canonical_requests_are_malformed() {
+        const SAMPLE: &[&str] =
+            &["Localize", "input", "observations", "0", "profile", "samples", "1"];
+        const WORDS: &[&str] = &["Localize", "input", "observations", "0", "epc", "words"];
+        let request = localize_request();
+        let geometry = SessionGeometry {
+            nominal_speed_mps: 0.1,
+            wavelength_m: 0.326,
+            perpendicular_distance_m: None,
+        };
+        let open = Request::OpenSession { geometry, quiescence_s: Some(2.0) };
+        for frame in [
+            edited(&request, SAMPLE, reorder),
+            edited(&request, SAMPLE, extend),
+            edited(&request, &[SAMPLE, &["time_s"]].concat(), |x| *x = Value::U64(2)),
+            edited(&request, WORDS, |words| {
+                let Value::Seq(items) = words else { panic!("EPC words are a sequence") };
+                items.pop();
+            }),
+            edited(&request, &[WORDS, &["2"]].concat(), |x| *x = Value::U64(0x1_0000)),
+            edited(&open, &["OpenSession"], reorder),
+            edited(&open, &["OpenSession", "geometry"], extend),
+            edited(&open, &["OpenSession", "quiescence_s"], |x| *x = Value::U64(2)),
+            edited(&Request::Stats, &[], |x| *x = Value::Map(vec![("Stats".into(), Value::Null)])),
+        ] {
+            assert_malformed::<Request>(&frame);
+        }
+    }
+
+    #[test]
+    fn non_canonical_responses_are_malformed() {
+        const METRICS: &[&str] = &["Localized", "response", "metrics"];
+        let localized = Response::Localized { response: localization_response() };
+        let stats =
+            Response::Stats { service: ServiceStats::default(), server: ServerStats::default() };
+        for frame in [
+            edited(&localized, &[METRICS, &["total_seconds"]].concat(), |x| *x = Value::U64(2)),
+            edited(
+                &localized,
+                &["Localized", "response", "result", "summaries", "1", "coarse", "0"],
+                |x| *x = Value::I64(-1),
+            ),
+            edited(&localized, METRICS, reorder),
+            edited(&localized, &[METRICS, &["geometry_cache_hit"]].concat(), |x| {
+                *x = Value::U64(1)
+            }),
+            edited(&provisional_response(), &["Provisional", "ordering"], extend),
+            edited(
+                &provisional_response(),
+                &["Provisional", "ordering", "order_x", "0", "match_cost"],
+                |x| *x = Value::U64(1),
+            ),
+            edited(&stats, &["Stats", "server"], extend),
+            edited(&stats, &["Stats"], reorder),
+            edited(&Response::Busy { depth: 3 }, &["Busy", "depth"], |x| *x = Value::I64(-3)),
+        ] {
+            assert_malformed::<Response>(&frame);
+        }
+    }
+
+    /// Overwrites the `u32` count of the sequence under key `name`.
+    fn with_count(mut payload: Vec<u8>, name: &str, count: u32) -> Vec<u8> {
+        let mut key = (name.len() as u32).to_le_bytes().to_vec();
+        key.extend_from_slice(name.as_bytes());
+        let at = payload.windows(key.len()).position(|w| w == key).expect("key present");
+        let count_at = at + key.len() + 1;
+        payload[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn counts_beyond_the_bytes_left_are_truncated_before_allocation() {
+        // Reserving u32::MAX samples would ask for 64 GiB and abort the
+        // test; the count check comes first.
+        let localize = payload(&localize_request());
+        let reports = payload(&Request::IngestReports {
+            session: 3,
+            reports: vec![WireReport { epc_serial: 9, time_s: 0.5, phase_rad: 2.0 }],
+        });
+        for bytes in [
+            with_count(localize.clone(), "samples", u32::MAX),
+            with_count(localize, "observations", u32::MAX),
+            with_count(reports, "reports", u32::MAX),
+        ] {
+            assert!(matches!(decode_frame::<Request>(&frame(&bytes)), Err(ProtoError::Truncated)));
+        }
+        let localized = payload(&Response::Localized { response: localization_response() });
+        let provisional = payload(&provisional_response());
+        for bytes in [
+            with_count(localized.clone(), "order_x", u32::MAX),
+            with_count(localized.clone(), "summaries", u32::MAX),
+            with_count(localized.clone(), "coarse", u32::MAX),
+            with_count(localized, "undetected", u32::MAX),
+            with_count(provisional, "order_x", u32::MAX),
+        ] {
+            assert!(matches!(decode_frame::<Response>(&frame(&bytes)), Err(ProtoError::Truncated)));
+        }
+    }
+
+    /// Marks the re-executed test binary that runs the body of
+    /// [`a_count_the_items_cannot_fill_reserves_only_the_bytes_left`]
+    /// under a low address-space limit.
+    #[cfg(unix)]
+    const ADDRESS_SPACE_CHILD: &str = "STPP_ADDRESS_SPACE_CHILD";
+
+    /// A count that passes the one-byte-per-item check but not the
+    /// items' real size must not reserve the items' memory up front. The
+    /// body runs in a child process whose address space (`ulimit -v`, the
+    /// child's alone) is 1 GiB, which reserving the count in full would
+    /// overrun.
+    #[cfg(unix)]
+    #[test]
+    fn a_count_the_items_cannot_fill_reserves_only_the_bytes_left() {
+        if std::env::var_os(ADDRESS_SPACE_CHILD).is_some() {
+            return address_space_child();
+        }
+        let name = "proto::tests::a_count_the_items_cannot_fill_reserves_only_the_bytes_left";
+        let out = std::process::Command::new("sh")
+            .args(["-c", "ulimit -v 1048576 && exec \"$0\" \"$@\""])
+            .arg(std::env::current_exe().expect("test binary path"))
+            .args([name, "--exact", "--test-threads", "1"])
+            .env(ADDRESS_SPACE_CHILD, "1")
+            .output()
+            .expect("spawn the address-space-limited child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child failed ({}):\n{stdout}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    /// The child's half of
+    /// [`a_count_the_items_cannot_fill_reserves_only_the_bytes_left`]: 32 Mi
+    /// observations, one padding byte each, would take more than 1 GiB
+    /// reserved in full.
+    #[cfg(unix)]
+    fn address_space_child() {
+        let count = 32 << 20;
+        assert!(count * std::mem::size_of::<TagObservations>() > 1 << 30);
+        let Request::Localize { input, threads } = localize_request() else { unreachable!() };
+        let empty =
+            Request::Localize { input: StppInput { observations: Vec::new(), ..input }, threads };
+        let mut bytes = with_count(payload(&empty), "observations", count as u32);
+        bytes.resize(bytes.len() + count, 0);
+        assert!(matches!(
+            decode_frame::<Request>(&frame(&bytes)),
+            Err(ProtoError::Malformed { .. } | ProtoError::Truncated)
+        ));
     }
 }

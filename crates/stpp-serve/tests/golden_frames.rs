@@ -1,11 +1,11 @@
 //! Golden wire frames: one frame of every `Request` and `Response`
 //! variant, with the exact bytes checked in as `golden_frames.hex`.
 //!
-//! The other byte-identity checks compare two encoders of the same build
-//! with each other; only bytes recorded from an earlier build pin the
-//! wire itself. The fixture was written by the `Value`-tree codec, so
-//! these tests show that the direct encoder and the typed decoders speak
-//! exactly the protocol-version-1 layout it did.
+//! The other byte-identity checks compare a build's writer with its own
+//! reader; only bytes recorded from an earlier build pin the wire itself.
+//! The fixture was written by the `Value`-tree codec, so these tests show
+//! that the direct encoder and the derived readers speak exactly the
+//! protocol-version-1 layout it did.
 //!
 //! The payloads are deliberately awkward: NaNs with payload bits, −0.0,
 //! subnormals, `None` next to `Some`, empty next to multi-item sequences
