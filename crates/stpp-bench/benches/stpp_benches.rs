@@ -11,6 +11,9 @@
 //! * `simulation` — sweep simulation cost (the substrate itself).
 //! * `proto` — frame decoding: the hot frames the serving benchmark's
 //!   workloads send, read through `decode_frame`.
+//! * `pool` — one warm `LocalizationService::localize` of a conveyor-sized
+//!   flush: one tag (detected on the calling thread alone) and six tags
+//!   (the caller plus one pool helper).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -25,7 +28,7 @@ use stpp_core::{
     StppConfig, StppInput, TagObservations, VZoneDetector,
 };
 use stpp_serve::proto::{decode_frame, encode_frame};
-use stpp_serve::{LocalizationService, Request, Response, WireReport};
+use stpp_serve::{LocalizationService, Request, Response, ServiceConfig, WireReport};
 
 fn measured_profile() -> PhaseProfile {
     let recording = benchmark_recording(1, 0.1, 7);
@@ -106,7 +109,15 @@ fn bench_dtw(c: &mut Criterion) {
             others.iter().map(|f| seed_norm.next_up() * f.len() as f64).collect();
         let mut out = Vec::new();
         b.iter(|| {
-            dtw_screen_lockstep(&others, &features, penalty, &limits, &mut scratch, &mut out);
+            dtw_screen_lockstep(
+                &others,
+                |f| f,
+                &features,
+                penalty,
+                &limits,
+                &mut scratch,
+                &mut out,
+            );
             black_box(out.len())
         })
     });
@@ -212,6 +223,55 @@ fn bench_proto(c: &mut Criterion) {
     group.finish();
 }
 
+/// `tags` bags 0.3 m apart passing a portal antenna 0.5 m away at
+/// 0.5 m/s, each read at 50 Hz within 0.6 m of its closest approach
+/// (61 noiseless samples a tag): the size of a conveyor flush's tags.
+/// The tag ids and EPCs come from a benchmark sweep of as many tags.
+fn flush_input(tags: usize) -> Arc<StppInput> {
+    let (speed, d_perp, wavelength) = (0.5f64, 0.5f64, 0.3256f64);
+    let observations: Vec<TagObservations> =
+        TagObservations::from_recording(&benchmark_recording(tags, 0.3, 41))
+            .into_iter()
+            .enumerate()
+            .map(|(slot, tag)| {
+                let pass_s = (1.0 + 0.3 * slot as f64) / speed;
+                let pairs: Vec<(f64, f64)> = (-30..=30)
+                    .map(|i| {
+                        let t = pass_s + 0.02 * i as f64;
+                        let along = speed * (t - pass_s);
+                        let d = (along * along + d_perp * d_perp).sqrt();
+                        (t, (std::f64::consts::TAU * 2.0 * d / wavelength) % std::f64::consts::TAU)
+                    })
+                    .collect();
+                TagObservations { profile: PhaseProfile::from_pairs(&pairs), ..tag }
+            })
+            .collect();
+    assert_eq!(observations.len(), tags, "the sweep reads every tag");
+    Arc::new(StppInput {
+        observations,
+        nominal_speed_mps: speed,
+        wavelength_m: wavelength,
+        perpendicular_distance_m: Some(d_perp),
+    })
+}
+
+/// The serving hand-off on a flush-sized request: a two-worker service
+/// with warm banks, so the time is detection plus what the pool adds.
+fn bench_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool");
+    let config = ServiceConfig { threads: 2, pool_workers: 2, ..ServiceConfig::default() };
+    let service = LocalizationService::new(config);
+    for tags in [1usize, 6] {
+        let input = flush_input(tags);
+        let warm = service.localize(input.clone()).expect("localize");
+        assert_eq!(warm.result.localized_count(), tags, "every synthetic tag is detected");
+        group.bench_with_input(BenchmarkId::new("localize", tags), &input, |b, input| {
+            b.iter(|| black_box(service.localize(input.clone())))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dtw,
@@ -219,6 +279,7 @@ criterion_group!(
     bench_ordering,
     bench_pipeline,
     bench_simulation,
-    bench_proto
+    bench_proto,
+    bench_pool
 );
 criterion_main!(benches);

@@ -823,14 +823,18 @@ fn finish_lane(row: &[f64], limit: f64) -> ScreenOutcome {
 /// must not abandon. Features must be finite (see
 /// [`SegmentFeatures::push`]).
 ///
-/// `out` is cleared and refilled with one [`ScreenOutcome`] per
-/// candidate, index-aligned with `candidates`.
+/// The candidates are `candidates` read through `features`, so a caller
+/// can screen a list of keys (say, indices into a reference bank)
+/// without collecting the references first. `out` is cleared and
+/// refilled with one [`ScreenOutcome`] per candidate, index-aligned with
+/// `candidates`.
 ///
 /// # Panics
 ///
 /// Panics when `limits.len()` differs from `candidates.len()`.
-pub fn dtw_screen_lockstep(
-    candidates: &[&SegmentFeatures],
+pub fn dtw_screen_lockstep<'c, K: Copy>(
+    candidates: &[K],
+    features: impl Fn(K) -> &'c SegmentFeatures,
     measured: &SegmentFeatures,
     gap_penalty_per_second: f64,
     limits: &[f64],
@@ -854,7 +858,8 @@ pub fn dtw_screen_lockstep(
 
     // Row 0 of every lane: the free subsequence start.
     live.clear();
-    for (k, cand) in candidates.iter().enumerate() {
+    for (k, &key) in candidates.iter().enumerate() {
+        let cand = features(key);
         if cand.is_empty() {
             continue; // Infeasible
         }
@@ -887,6 +892,7 @@ pub fn dtw_screen_lockstep(
         let mut p = 0;
         while p + 1 < live.len() {
             let (a, b) = (live[p], live[p + 1]);
+            let (cand_a, cand_b) = (features(candidates[a]), features(candidates[b]));
             let (head, tail) = lockstep.split_at_mut(2 * b * m);
             let (prev_a, cur_a) = lane_rows(&mut head[2 * a * m..], m, i);
             let (prev_b, cur_b) = lane_rows(tail, m, i);
@@ -894,16 +900,14 @@ pub fn dtw_screen_lockstep(
                 [prev_a, prev_b],
                 [&mut *cur_a, &mut *cur_b],
                 [None, None],
-                [penalty * candidates[a].dur[i], penalty * candidates[b].dur[i]],
-                [
-                    segment_row_costs(candidates[a], i, measured),
-                    segment_row_costs(candidates[b], i, measured),
-                ],
+                [penalty * cand_a.dur[i], penalty * cand_b.dur[i]],
+                [segment_row_costs(cand_a, i, measured), segment_row_costs(cand_b, i, measured)],
                 left_penalty,
             );
-            for (k, row_min, cur) in [(a, min_a, &*cur_a), (b, min_b, &*cur_b)] {
-                if lane_runs_on(row_min, cur, limits[k], i + 1 == candidates[k].len(), &mut out[k])
-                {
+            for (k, row_min, cur, rows) in
+                [(a, min_a, &*cur_a, cand_a.len()), (b, min_b, &*cur_b, cand_b.len())]
+            {
+                if lane_runs_on(row_min, cur, limits[k], i + 1 == rows, &mut out[k]) {
                     live[kept] = k;
                     kept += 1;
                 }
@@ -912,16 +916,17 @@ pub fn dtw_screen_lockstep(
         }
         if p < live.len() {
             let k = live[p];
+            let cand = features(candidates[k]);
             let (prev, cur) = lane_rows(&mut lockstep[2 * k * m..], m, i);
             let [row_min] = advance_rows(
                 [prev],
                 [&mut *cur],
                 [None],
-                [penalty * candidates[k].dur[i]],
-                [segment_row_costs(candidates[k], i, measured)],
+                [penalty * cand.dur[i]],
+                [segment_row_costs(cand, i, measured)],
                 left_penalty,
             );
-            if lane_runs_on(row_min, cur, limits[k], i + 1 == candidates[k].len(), &mut out[k]) {
+            if lane_runs_on(row_min, cur, limits[k], i + 1 == cand.len(), &mut out[k]) {
                 live[kept] = k;
                 kept += 1;
             }

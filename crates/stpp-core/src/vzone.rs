@@ -910,12 +910,12 @@ impl ScreenCtx<'_> {
 
         // Completed costs are bit-identical to the path kernel's, so the
         // survivors can be ranked before any of them is re-aligned.
-        let refs: Vec<&SegmentFeatures> =
-            remaining.iter().map(|&k| &self.bank.patterns[k].features).collect();
+        let features = |k: usize| &self.bank.patterns[k].features;
         limits.clear();
-        limits.extend(refs.iter().map(|f| abandon_limit(best_norm, f.len())));
+        limits.extend(remaining.iter().map(|&k| abandon_limit(best_norm, features(k).len())));
         dtw_screen_lockstep(
-            &refs,
+            remaining,
+            features,
             self.measured_feat,
             self.detector.gap_penalty_per_second,
             limits,

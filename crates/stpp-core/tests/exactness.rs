@@ -147,7 +147,7 @@ proptest! {
             .collect();
         let mut scratch = DtwScratch::new();
         let mut out = Vec::new();
-        dtw_screen_lockstep(&refs, &measured, penalty, &limits, &mut scratch, &mut out);
+        dtw_screen_lockstep(&refs, |f| f, &measured, penalty, &limits, &mut scratch, &mut out);
         prop_assert_eq!(out.len(), candidates.len());
         for (k, outcome) in out.iter().enumerate() {
             let limit = limits[k];
@@ -204,7 +204,7 @@ proptest! {
         // greater-than, so every identical lane must still complete.
         let limits = vec![cost; copies];
         let mut out = Vec::new();
-        dtw_screen_lockstep(&refs, &measured, penalty, &limits, &mut scratch, &mut out);
+        dtw_screen_lockstep(&refs, |f| f, &measured, penalty, &limits, &mut scratch, &mut out);
         for (k, outcome) in out.iter().enumerate() {
             prop_assert_eq!(*outcome, ScreenOutcome::Completed(cost), "lane {}", k);
         }
@@ -270,7 +270,7 @@ fn lockstep_lanes_regroup_as_lanes_leave_on_different_rows() {
     }
     let refs: Vec<&SegmentFeatures> = candidates.iter().collect();
     let mut out = Vec::new();
-    dtw_screen_lockstep(&refs, &measured, penalty, &limits, &mut scratch, &mut out);
+    dtw_screen_lockstep(&refs, |f| f, &measured, penalty, &limits, &mut scratch, &mut out);
     for (k, &(len, abandon_row)) in lanes.iter().enumerate() {
         let want = match abandon_row {
             Some(row) => ScreenOutcome::Abandoned { lower_bound: prefix_costs[k][row] },
@@ -292,17 +292,18 @@ fn lockstep_kernel_handles_empty_inputs() {
     let nonempty = features_of(&[(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], 2);
 
     // No candidates at all.
-    dtw_screen_lockstep(&[], &nonempty, 0.5, &[], &mut scratch, &mut out);
+    dtw_screen_lockstep(&[], |f| f, &nonempty, 0.5, &[], &mut scratch, &mut out);
     assert!(out.is_empty());
 
     // Empty measured representation: every lane is infeasible.
-    dtw_screen_lockstep(&[&nonempty], &empty, 0.5, &[f64::INFINITY], &mut scratch, &mut out);
+    dtw_screen_lockstep(&[&nonempty], |f| f, &empty, 0.5, &[f64::INFINITY], &mut scratch, &mut out);
     assert_eq!(out, vec![ScreenOutcome::Infeasible]);
 
     // Empty and single-segment candidates mixed with a real one.
     let single = features_of(&[(0.0, 1.0)], 4);
     dtw_screen_lockstep(
         &[&empty, &single, &nonempty],
+        |f| f,
         &nonempty,
         0.5,
         &[f64::INFINITY; 3],

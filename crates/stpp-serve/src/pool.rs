@@ -9,19 +9,30 @@
 //! across requests, and nothing is spawned or allocated per request on
 //! the pool side.
 //!
+//! **The caller runs a claim loop.** [`WorkerPool::detect`] does not hand
+//! its request off and sleep: the calling thread is one of the request's
+//! `fanout` claim loops, running on a scratch the pool keeps for callers
+//! (one per concurrent caller, never shared with another pool), and the
+//! pool receives only `fanout − 1` helper jobs. A one-tag request — the
+//! common conveyor flush — therefore never leaves the calling thread.
+//! The request completes when every claim loop that registered before
+//! the cursor ran out has finished; a helper that starts later claims
+//! nothing, and nobody waits for it.
+//!
 //! Determinism is inherited from the slot model: per-tag detections are
-//! independent, workers claim observation indices from a shared atomic
-//! cursor, and every result lands in its own slot — so the assembled
-//! output is bit-identical for any pool size, fanout, or claim
+//! independent, claim loops take observation indices from a shared
+//! atomic cursor, and every result lands in its own slot — so the
+//! assembled output is bit-identical for any pool size, fanout, or claim
 //! interleaving (the same guarantee `detect_all` makes, now without the
 //! per-request spawn). On a malformed profile the claim loop fails fast
-//! exactly like `detect_all`: workers stop claiming once any error is
+//! exactly like `detect_all`: loops stop claiming once any error is
 //! recorded and the lowest-indexed recorded error is reported.
 //!
-//! Because each worker's scratch is `&mut`-owned for the duration of a
-//! job, the scratch's [`bank_stats`](DetectScratch::bank_stats) deltas
-//! observed around the job belong to that job alone; the pool sums them
-//! per request, which is what makes the service's per-request
+//! Because every scratch — a worker's or a caller's — is `&mut`-owned
+//! for the duration of a claim loop, the scratch's
+//! [`bank_stats`](DetectScratch::bank_stats) deltas observed around the
+//! loop belong to that request alone; the pool sums them per request,
+//! which is what makes the service's per-request
 //! `RequestMetrics::bank_cache` exact under concurrency.
 
 use std::collections::VecDeque;
@@ -57,6 +68,11 @@ pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: usize,
     handles: Vec<JoinHandle<()>>,
+    /// Idle scratches for the callers' own claim loops: a caller takes
+    /// one for the length of its loop, so the list grows to the largest
+    /// number of concurrent callers and stays warm with this pool's
+    /// banks.
+    caller_scratches: Mutex<Vec<DetectScratch>>,
 }
 
 impl std::fmt::Debug for PoolShared {
@@ -83,7 +99,7 @@ impl WorkerPool {
                 thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        WorkerPool { shared, workers, handles }
+        WorkerPool { shared, workers, handles, caller_scratches: Mutex::new(Vec::new()) }
     }
 
     /// Number of worker threads.
@@ -103,12 +119,13 @@ impl WorkerPool {
         self.shared.job_ready.notify_one();
     }
 
-    /// Runs per-tag detection for `request` across the pool with up to
-    /// `fanout` concurrent claim loops (clamped to the pool size and the
-    /// tag count) and blocks until every slot is resolved. Returns the
+    /// Runs per-tag detection for `request` with up to `fanout`
+    /// concurrent claim loops (clamped to the pool size and the tag
+    /// count): the calling thread runs one, and `fanout − 1` helper jobs
+    /// go to the pool. Blocks until every slot is resolved. Returns the
     /// index-aligned summaries — bit-identical to the sequential scan —
     /// plus the request's exact bank-cache counter deltas (summed from
-    /// the participating workers' scratches).
+    /// the scratches of the loops that ran).
     pub fn detect(
         &self,
         request: &Arc<SharedPreparedRequest>,
@@ -121,19 +138,34 @@ impl WorkerPool {
             cursor: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             progress: Mutex::new(DetectProgress {
-                pending_jobs: fanout,
+                // The caller's own loop, registered up front.
+                running: 1,
+                closed: false,
                 panicked: false,
                 results: Vec::with_capacity(tags),
                 bank_stats: BankCacheStats::default(),
             }),
             done: Condvar::new(),
         });
-        for _ in 0..fanout {
+        for _ in 1..fanout {
             let task = task.clone();
-            self.submit(Box::new(move |scratch| run_claim_loop(&task, scratch)));
+            self.submit(Box::new(move |scratch| {
+                if task.register() {
+                    run_claim_loop(&task, scratch);
+                }
+            }));
         }
+        let mut scratch = self
+            .caller_scratches
+            .lock()
+            .expect("caller scratches poisoned")
+            .pop()
+            .unwrap_or_default();
+        run_claim_loop(&task, &mut scratch);
+        self.caller_scratches.lock().expect("caller scratches poisoned").push(scratch);
+
         let mut progress = task.progress.lock().expect("detect task poisoned");
-        while progress.pending_jobs > 0 {
+        while progress.running > 0 {
             progress = task.done.wait(progress).expect("detect task poisoned");
         }
         if progress.panicked {
@@ -168,7 +200,8 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One request's fan-out state, shared by its claim-loop jobs.
+/// One request's fan-out state, shared by the caller and its helper
+/// jobs.
 struct DetectTask {
     request: Arc<SharedPreparedRequest>,
     cursor: AtomicUsize,
@@ -178,7 +211,12 @@ struct DetectTask {
 }
 
 struct DetectProgress {
-    pending_jobs: usize,
+    /// Claim loops registered and not yet finished; the request is
+    /// complete when this reaches 0.
+    running: usize,
+    /// Set when the first claim loop stops (the cursor ran out or a
+    /// failure was recorded); no claim loop registers after it.
+    closed: bool,
     /// Set when a claim-loop detection panicked; [`WorkerPool::detect`]
     /// re-raises the panic in the *calling* thread so the server's
     /// panic-isolation layer (not the pool worker) decides what to do
@@ -188,15 +226,29 @@ struct DetectProgress {
     bank_stats: BankCacheStats,
 }
 
-/// The claim loop one pool job runs: grab observation indices from the
-/// task cursor until exhausted (or a failure is recorded), detecting each
-/// into the worker's long-lived scratch.
+impl DetectTask {
+    /// Registers a helper's claim loop. Returns `false` once the request
+    /// is closed: the helper started too late to claim anything, and the
+    /// caller does not wait for it.
+    fn register(&self) -> bool {
+        let mut progress = self.progress.lock().expect("detect task poisoned");
+        if progress.closed {
+            return false;
+        }
+        progress.running += 1;
+        true
+    }
+}
+
+/// One registered claim loop: grab observation indices from the task
+/// cursor until exhausted (or a failure is recorded), detecting each
+/// into `scratch`.
 ///
-/// A panicking detection must not strand the request: `pending_jobs` is
-/// decremented on every exit path (the waiter would otherwise block on
-/// the condvar forever), the panic is recorded for the waiter to
-/// re-raise, and the worker's scratch is rebuilt because an unwound
-/// detection may have left it inconsistent.
+/// A panicking detection must not strand the request: the loop
+/// deregisters on every exit path (the caller would otherwise block on
+/// the condvar forever), the panic is recorded for the caller to
+/// re-raise, and the scratch is rebuilt because an unwound detection may
+/// have left it inconsistent.
 fn run_claim_loop(task: &DetectTask, scratch: &mut DetectScratch) {
     let tags = task.request.observation_count();
     let stats_before = scratch.bank_stats();
@@ -231,9 +283,10 @@ fn run_claim_loop(task: &DetectTask, scratch: &mut DetectScratch) {
     progress.bank_stats.hits += delta.hits;
     progress.bank_stats.misses += delta.misses;
     progress.bank_stats.builds += delta.builds;
-    progress.pending_jobs -= 1;
-    if progress.pending_jobs == 0 {
-        task.done.notify_all();
+    progress.closed = true;
+    progress.running -= 1;
+    if progress.running == 0 {
+        task.done.notify_one();
     }
 }
 
@@ -266,7 +319,11 @@ fn worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
     use stpp_core::{ReferenceBankCache, RelativeLocalizer, StppInput};
+
+    use crate::service::{LocalizationService, ServiceConfig};
 
     fn synthetic_input(tags: usize) -> Arc<StppInput> {
         let wavelength = 0.326f64;
@@ -295,6 +352,14 @@ mod tests {
             wavelength_m: wavelength,
             perpendicular_distance_m: Some(d_perp),
         })
+    }
+
+    fn prepare(input: &Arc<StppInput>) -> Arc<SharedPreparedRequest> {
+        Arc::new(
+            RelativeLocalizer::with_defaults()
+                .prepare_shared(input.clone(), ReferenceBankCache::shared())
+                .expect("prepare"),
+        )
     }
 
     #[test]
@@ -333,7 +398,9 @@ mod tests {
         assert!(result.is_ok());
         assert_eq!(stats.builds, 0, "warm request must build zero banks");
         assert!(stats.hits > 0);
-        assert!(pool.jobs_executed() >= 2);
+        // The callers ran a claim loop each: at most one helper job per
+        // request reached the pool.
+        assert!(pool.jobs_executed() <= 2, "{} jobs ran", pool.jobs_executed());
     }
 
     #[test]
@@ -359,6 +426,99 @@ mod tests {
         let (per_tag, _) = pool.detect(&request, 1);
         let result = request.assemble(per_tag.expect("detect")).expect("assemble");
         assert_eq!(result, sequential);
+        // The request ran on the caller alone. A probe queued behind the
+        // panicked job runs a detection on the worker's rebuilt scratch;
+        // by the time it answers, the panicked job has been counted.
+        let (tx, rx) = mpsc::channel();
+        let probe = request.clone();
+        pool.submit(Box::new(move |scratch| {
+            tx.send(probe.detect_with_scratch(scratch)).expect("send");
+        }));
+        let per_tag = rx.recv_timeout(Duration::from_secs(10)).expect("the worker is alive");
+        assert_eq!(request.assemble(per_tag.expect("detect")).expect("assemble"), sequential);
         assert!(pool.jobs_executed() >= 1, "panicked job still counts as executed");
+    }
+
+    #[test]
+    fn one_tag_requests_never_reach_the_workers() {
+        let input = synthetic_input(1);
+        let pool = WorkerPool::new(2);
+        let (per_tag, _) = pool.detect(&prepare(&input), 2);
+        assert!(per_tag.expect("detect")[0].is_some());
+        assert_eq!(pool.jobs_executed(), 0, "a one-tag detect runs on its caller");
+
+        let config = ServiceConfig { threads: 2, pool_workers: 2, ..ServiceConfig::default() };
+        let service = LocalizationService::new(config);
+        let response = service.localize(input).expect("localize");
+        assert_eq!(response.metrics.threads, 1);
+        assert_eq!(service.pool.jobs_executed(), 0, "a one-tag localize runs on its caller");
+    }
+
+    #[test]
+    fn the_caller_finishes_its_request_while_every_worker_is_busy() {
+        let input = synthetic_input(6);
+        let sequential = RelativeLocalizer::with_defaults().localize(&input).expect("sequential");
+        let mut reference = DetectScratch::new();
+        prepare(&input).detect_with_scratch(&mut reference).expect("sequential scan");
+
+        // With two workers the request's one helper job queues behind the
+        // parked jobs: it starts after the tags ran out and is not waited
+        // for.
+        for workers in [1usize, 2] {
+            let pool = Arc::new(WorkerPool::new(workers));
+            let (parked_tx, parked_rx) = mpsc::channel();
+            let (release, wait) = mpsc::channel::<()>();
+            let wait = Arc::new(Mutex::new(wait));
+            for _ in 0..workers {
+                let (parked_tx, wait) = (parked_tx.clone(), wait.clone());
+                pool.submit(Box::new(move |_scratch| {
+                    parked_tx.send(()).expect("parked");
+                    let _ = wait.lock().expect("wait").recv();
+                }));
+            }
+            for _ in 0..workers {
+                parked_rx.recv_timeout(Duration::from_secs(10)).expect("a worker parks");
+            }
+            let (tx, rx) = mpsc::channel();
+            let caller = {
+                let pool = pool.clone();
+                let request = prepare(&input);
+                thread::spawn(move || {
+                    let (per_tag, stats) = pool.detect(&request, 2);
+                    tx.send((request.assemble(per_tag.expect("detect")), stats)).expect("send");
+                })
+            };
+            let outcome = rx.recv_timeout(Duration::from_secs(30));
+            let queued = pool.shared.state.lock().expect("queue").queue.len();
+            for _ in 0..workers {
+                release.send(()).expect("release a parked worker");
+            }
+            let (result, stats) = outcome.expect("detect must return without the parked workers");
+            caller.join().expect("caller thread");
+            assert_eq!(
+                queued,
+                workers - 1,
+                "fanout 2 sends one helper when the pool has two workers"
+            );
+            assert_eq!(result.expect("assemble"), sequential, "workers = {workers}");
+            // A fresh caller scratch on a fresh cache makes the same
+            // lookups as a fresh sequential scan.
+            assert_eq!(stats, reference.bank_stats(), "workers = {workers}");
+            assert!(stats.builds > 0);
+        }
+    }
+
+    #[test]
+    fn a_new_service_on_the_same_thread_builds_its_own_banks() {
+        let input = synthetic_input(1);
+        for service in 0..2 {
+            let config = ServiceConfig { threads: 2, pool_workers: 2, ..ServiceConfig::default() };
+            let response =
+                LocalizationService::new(config).localize(input.clone()).expect("localize");
+            assert!(
+                response.metrics.bank_cache.builds > 0,
+                "service {service}'s first request must build its banks"
+            );
+        }
     }
 }

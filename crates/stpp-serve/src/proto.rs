@@ -225,7 +225,8 @@ pub struct HealthReport {
     pub uptime_seconds: f64,
     /// Whether a drain is in progress (new connections are refused).
     pub draining: bool,
-    /// Detection requests currently admitted (queued or executing).
+    /// Detection requests currently admitted (each detecting on its
+    /// connection thread).
     pub in_flight: u64,
     /// The admission bound.
     pub queue_depth: u64,
@@ -246,7 +247,8 @@ pub struct HealthReport {
 /// Server-level counters reported by [`Response::Stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServerStats {
-    /// Detection requests currently admitted (queued or executing).
+    /// Detection requests currently admitted (each detecting on its
+    /// connection thread).
     pub in_flight: u64,
     /// The admission bound: requests beyond this are rejected with
     /// [`Response::Busy`].

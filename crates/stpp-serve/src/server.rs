@@ -4,23 +4,26 @@
 //! detection pool and one geometry-keyed bank-cache LRU) and serves any
 //! number of portal/shelf-reader connections. Each connection is a strict
 //! request/response alternation handled on its own thread, so responses
-//! always come back in request order; concurrency comes from connections
-//! sharing the pool.
+//! always come back in request order. An admitted request detects on its
+//! connection's thread, and the pool's workers help the requests whose
+//! fanout asks for more than one claim loop; a one-tag flush never leaves
+//! its connection thread.
 //!
 //! ## Backpressure
 //!
 //! Detection work ([`Request::Localize`], [`Request::FlushSession`],
 //! [`Request::Pause`]) passes an **admission queue** bounded by
 //! [`ServerConfig::queue_depth`]: at most that many detection requests
-//! may be admitted (queued on the pool or executing) at once. A request
-//! arriving beyond the bound is rejected immediately with the typed
-//! [`Response::Busy`] frame — the client sees the rejection in
-//! microseconds instead of its request silently queueing without bound.
-//! With `queue_depth > pool_workers`, admitted requests beyond the worker
-//! count wait inside the pool's job queue; the admission bound caps that
-//! wait list. Control-plane frames (stats, health, session ingestion,
-//! open, drain, shutdown) bypass admission — they stay responsive under
-//! full load.
+//! may be admitted at once. A request arriving beyond the bound is
+//! rejected immediately with the typed [`Response::Busy`] frame — the
+//! client sees the rejection in microseconds instead of its request
+//! silently queueing without bound. Every admitted request detects on
+//! its own connection thread, so `queue_depth` bounds concurrent
+//! detection, while `pool_workers` bounds only the helpers those
+//! requests share (a helper job beyond the worker count waits in the
+//! pool's job queue; its request goes on without it). Control-plane
+//! frames (stats, health, session ingestion, open, drain, shutdown)
+//! bypass admission — they stay responsive under full load.
 //!
 //! ## Sessions
 //!
@@ -82,9 +85,9 @@ const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 /// Configuration of a [`StppServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Maximum detection requests admitted concurrently (queued or
-    /// executing); beyond this, requests are rejected with
-    /// [`Response::Busy`]. Clamped to at least 1.
+    /// Maximum detection requests admitted concurrently, each detecting
+    /// on its own connection thread; beyond this, requests are rejected
+    /// with [`Response::Busy`]. Clamped to at least 1.
     pub queue_depth: usize,
     /// Read/write timeout applied to every connection socket; `None`
     /// disables it (a wedged peer can then hold its connection thread

@@ -8,7 +8,8 @@
 //! request's effective geometry **and** one persistent
 //! [`WorkerPool`] whose workers keep their
 //! [`DetectScratch`](stpp_core::DetectScratch) arenas warm across
-//! requests. Every request fans through the pool and reports per-request
+//! requests. Every request detects on its calling thread, with pool
+//! workers helping when its fanout allows, and reports per-request
 //! metrics (exact bank-cache counters, per-stage timings). Output is
 //! bit-identical to the sequential [`RelativeLocalizer`] for any pool
 //! size or per-request fanout, warm or cold.
@@ -33,12 +34,15 @@ use crate::session::{IngestError, ServiceSession, SessionGeometry};
 pub struct ServiceConfig {
     /// The pipeline configuration every request runs with.
     pub stpp: StppConfig,
-    /// Default per-request detection fanout (requests may override it);
-    /// clamped to the pool size and the request's tag count.
+    /// Default per-request detection fanout (requests may override it):
+    /// the number of claim loops a request runs, counting the calling
+    /// thread's own, so a request sends `threads − 1` helper jobs to the
+    /// pool. Clamped to the pool size and the request's tag count.
     pub threads: usize,
     /// Number of persistent worker threads in the service's detection
-    /// pool (each with a long-lived scratch). Defaults to the available
-    /// parallelism; clamped to at least 1.
+    /// pool (each with a long-lived scratch). They run helper claim
+    /// loops only: every request also detects on its calling thread.
+    /// Defaults to the available parallelism; clamped to at least 1.
     pub pool_workers: usize,
     /// Upper bound on the number of distinct geometries whose bank caches
     /// are retained. The registry is a small LRU: inserting beyond the
@@ -146,7 +150,9 @@ pub struct RequestMetrics {
     pub undetected: usize,
     /// Detection fanout the request actually ran with: the requested (or
     /// service-default) count capped at the pool size and the tag
-    /// population, exactly as the worker pool clamps it.
+    /// population, exactly as the worker pool clamps it. It counts claim
+    /// loops including the calling thread's, so 1 means the request never
+    /// left its caller.
     pub threads: usize,
     /// Whether the request's geometry already had a bank cache registered
     /// (a *geometry* hit still says nothing about the banks inside — see
@@ -154,8 +160,9 @@ pub struct RequestMetrics {
     pub geometry_cache_hit: bool,
     /// Bank-cache counter deltas attributed to this request: `builds = 0`
     /// is the warm-path guarantee. Deltas are **exact** even under
-    /// concurrency: they are summed from the participating pool workers'
-    /// scratch-local counters, not snapshotted from the shared cache's
+    /// concurrency: they are summed from the scratch-local counters of
+    /// the request's claim loops (the caller's and its helpers'), not
+    /// snapshotted from the shared cache's
     /// global counters (which interleave concurrent requests).
     pub bank_cache: BankCacheStats,
     /// Time spent validating the request and constructing the detection
@@ -223,7 +230,7 @@ struct GeometryRegistry {
 #[derive(Debug)]
 pub struct LocalizationService {
     config: ServiceConfig,
-    pool: WorkerPool,
+    pub(crate) pool: WorkerPool,
     banks: Mutex<GeometryRegistry>,
     requests: AtomicU64,
     geometry_hits: AtomicU64,

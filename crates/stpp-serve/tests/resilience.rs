@@ -348,6 +348,12 @@ fn accept_error_child() {
     let server = StppServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind");
     let handle = server.spawn().expect("spawn");
     let addr = handle.addr();
+    // One round trip first, so the server has made every descriptor it
+    // opens on its own (lazily, on the first connection) before the
+    // table fills. The client stays open: a closing connection would
+    // free descriptors behind the test's back.
+    let mut warm = StppClient::connect(addr).expect("connect before the table fills");
+    warm.health().expect("health before the table fills");
 
     // Fill the descriptor table, then free one slot for the client's
     // socket: the connection queues in the backlog with no descriptor
@@ -362,7 +368,15 @@ fn accept_error_child() {
     };
     assert_eq!(full.raw_os_error(), Some(24), "expected EMFILE, got {full}");
     held.pop();
-    let mut stream = TcpStream::connect(addr).expect("connect with the last descriptor");
+    // Should another thread of this process take the freed slot first,
+    // free one more and retry.
+    let mut stream = loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => break stream,
+            Err(error) if error.raw_os_error() == Some(24) && held.pop().is_some() => {}
+            Err(error) => panic!("connect with the last descriptor: {error}"),
+        }
+    };
     assert!(std::fs::File::open("/dev/null").is_err(), "the table must be full again");
     write_frame(&mut stream, &Request::Health).expect("send health");
     // Give the acceptor time to fail on the queued connection, more than
