@@ -65,17 +65,6 @@ impl Epc {
         out
     }
 
-    /// The bit at position `i` (0 = most significant). Returns `None` past
-    /// the end. Used by the tree-walking protocol.
-    pub fn bit(&self, i: usize) -> Option<bool> {
-        if i >= Self::BITS {
-            return None;
-        }
-        let word = self.words[i / 16];
-        let bit_in_word = 15 - (i % 16);
-        Some((word >> bit_in_word) & 1 == 1)
-    }
-
     /// The CRC-16 a tag would backscatter over PC + EPC.
     pub fn backscatter_crc(&self, pc: PcWord) -> u16 {
         let mut data = Vec::with_capacity(14);
@@ -148,15 +137,6 @@ mod tests {
         let s = epc.to_string();
         assert_eq!(s.len(), 24);
         assert!(s.chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn bit_indexing_msb_first() {
-        let epc = Epc::from_words([0x8000, 0, 0, 0, 0, 1]);
-        assert_eq!(epc.bit(0), Some(true));
-        assert_eq!(epc.bit(1), Some(false));
-        assert_eq!(epc.bit(95), Some(true));
-        assert_eq!(epc.bit(96), None);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! * [`tag`] — the tag-side inventory state machine (ready / arbitrate /
 //!   reply / acknowledged, session flags),
 //! * [`aloha`] — framed slotted ALOHA with the Q-algorithm,
-//! * [`tree`] — the binary tree-walking alternative identification
-//!   protocol the paper mentions,
 //! * [`inventory`] — a continuous inventory process producing a timestamped
 //!   stream of successful singulations, which the reader simulation turns
 //!   into phase/RSSI reports.
@@ -36,11 +34,9 @@ pub mod epc;
 pub mod inventory;
 pub mod tag;
 pub mod timing;
-pub mod tree;
 
 pub use aloha::{AlohaConfig, AlohaSimulator, RoundStats, SlotOutcome};
 pub use epc::{Epc, PcWord};
 pub use inventory::{InventoryConfig, InventoryEvent, InventoryProcess};
 pub use tag::{InventoriedFlag, Session, TagInventoryState, TagState};
 pub use timing::{LinkTiming, TagEncoding};
-pub use tree::TreeWalker;

@@ -6,7 +6,7 @@ use rand_chacha::ChaCha8Rng;
 use rfid_gen2::{
     crc::{crc16, crc16_verify},
     AlohaConfig, AlohaSimulator, Epc, InventoryConfig, InventoryProcess, SlotOutcome,
-    TagInventoryState, TreeWalker,
+    TagInventoryState,
 };
 
 proptest! {
@@ -35,15 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn epc_bit_indexing_consistent_with_bytes(serial in any::<u64>(), bit in 0usize..96) {
-        let epc = Epc::from_serial(serial);
-        let bytes = epc.bytes();
-        let byte = bytes[bit / 8];
-        let expected = (byte >> (7 - bit % 8)) & 1 == 1;
-        prop_assert_eq!(epc.bit(bit), Some(expected));
-    }
-
-    #[test]
     fn aloha_round_invariants(n in 0usize..40, seed in any::<u64>(), q in 0u8..8) {
         let config = AlohaConfig { initial_q: q, ..AlohaConfig::typical() };
         let mut sim = AlohaSimulator::new(config);
@@ -64,15 +55,6 @@ proptest! {
         }
         // Singulated count can never exceed the population.
         prop_assert!(stats.singulated <= n);
-    }
-
-    #[test]
-    fn tree_walk_identifies_all_unique_tags(serials in proptest::collection::hash_set(any::<u64>(), 0..40)) {
-        let tags: Vec<Epc> = serials.iter().copied().map(Epc::from_serial).collect();
-        let result = TreeWalker::new().identify_all(&tags);
-        prop_assert_eq!(result.identified.len(), tags.len());
-        let identified: std::collections::HashSet<Epc> = result.identified.iter().copied().collect();
-        prop_assert_eq!(identified.len(), tags.len());
     }
 
     #[test]

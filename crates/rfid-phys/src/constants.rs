@@ -34,11 +34,6 @@ impl ChannelPlan {
         ChannelPlan { base_frequency_hz: 920.625e6, channel_spacing_hz: 250e3, channel_count: 16 }
     }
 
-    /// The FCC US band: 902.75–927.25 MHz, 50 channels spaced 500 kHz.
-    pub fn fcc_us() -> Self {
-        ChannelPlan { base_frequency_hz: 902.75e6, channel_spacing_hz: 500e3, channel_count: 50 }
-    }
-
     /// A single-channel plan at the given frequency (useful for analytic
     /// reference profiles which assume a fixed wavelength).
     pub fn single(frequency_hz: f64) -> Self {
@@ -118,14 +113,6 @@ mod tests {
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.paper_default_channel(), 0);
         assert!((plan.frequency(0).unwrap() - 915e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn fcc_plan_spans_the_us_band() {
-        let plan = ChannelPlan::fcc_us();
-        let last = plan.frequency(plan.len() - 1).unwrap();
-        assert!(last < 928e6);
-        assert!(plan.frequency(0).unwrap() > 902e6);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! without `--gate` the checked-in `bench_gate.toml`. An unknown flag, a
 //! positional word, a missing value or a bad number exits with code 2. A
 //! thresholds file that leaves out a threshold the gate reads, sets one
-//! twice, or sets one the gate does not read fails the gate (code 1), so
-//! a stale or misspelt floor cannot pass unread.
+//! twice, sets one the gate does not read, or has a line outside its
+//! `[thresholds]` section that is neither a comment nor a section header
+//! fails the gate (code 1), so a stale or misspelt floor cannot pass
+//! unread.
 //!
 //! `--degrade F` multiplies every measured speedup by `F` (and divides
 //! the overhead ratio by it) before gating — an artificial regression
@@ -84,8 +86,9 @@ const THRESHOLDS: [&str; 4] = [
 
 /// Parses the `[thresholds]` section of a minimal TOML file: `key =
 /// number` lines, `#` comments, one section header. Returns an error
-/// string naming the first malformed line, the first key that is not in
-/// [`THRESHOLDS`] or is set twice, or the first threshold left out.
+/// string naming the first malformed line or line outside the section,
+/// the first key that is not in [`THRESHOLDS`] or is set twice, or the
+/// first threshold left out.
 fn parse_thresholds(text: &str) -> Result<HashMap<&'static str, f64>, String> {
     let mut out = HashMap::new();
     let mut in_thresholds = false;
@@ -99,7 +102,7 @@ fn parse_thresholds(text: &str) -> Result<HashMap<&'static str, f64>, String> {
             continue;
         }
         if !in_thresholds {
-            continue;
+            return Err(format!("line {}: `{}` is outside [thresholds]", number + 1, raw.trim()));
         }
         let Some((key, value)) = line.split_once('=') else {
             return Err(format!("line {}: expected `key = value`, got `{raw}`", number + 1));

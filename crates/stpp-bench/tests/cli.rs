@@ -94,6 +94,26 @@ fn bench_gate_rejects_thresholds_it_does_not_read() {
 }
 
 #[test]
+fn bench_gate_rejects_a_stray_line_outside_the_thresholds() {
+    // The stale copy of the header once left this line above the section,
+    // where the gate skipped it unread. Put back, it fails the gate, named
+    // by its line number.
+    let checked_in =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_gate.toml"))
+            .expect("read the checked-in bench_gate.toml");
+    let line = checked_in.lines().position(|l| l == "[thresholds]").expect("the section") + 1;
+    let stray = checked_in.replacen(
+        "\n[thresholds]\n",
+        "\n[thresholds] and nothing else: a key\n[thresholds]\n",
+        1,
+    );
+    let out = gate_with_thresholds("stray", &stray);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("line {line}: `[thresholds] and nothing else")), "{stderr}");
+}
+
+#[test]
 fn bench_json_rejects_bad_command_lines_before_writing() {
     let json = env!("CARGO_BIN_EXE_bench_json");
     let out_path: PathBuf =

@@ -80,29 +80,6 @@ impl DtwResult {
     pub fn matched_range(&self, start: usize, end: usize) -> Option<std::ops::Range<usize>> {
         path_matched_range(&self.path, start..end)
     }
-
-    /// The matched measured range of *every* reference index in a single
-    /// traversal of the path. Entry `i` of the returned vector is the
-    /// measured index range matched to reference index `i`, or `None` if
-    /// reference index `i` never appears on the path (possible only for
-    /// indices past the path's last reference index). Querying all
-    /// per-segment ranges this way is `O(path + segments)` instead of the
-    /// `O(segments × path)` of repeated [`matched_range`](Self::matched_range)
-    /// calls.
-    pub fn matched_ranges(&self) -> Vec<Option<std::ops::Range<usize>>> {
-        let n = self.path.iter().map(|&(r, _)| r + 1).max().unwrap_or(0);
-        let mut out: Vec<Option<std::ops::Range<usize>>> = vec![None; n];
-        for &(r, m) in &self.path {
-            match &mut out[r] {
-                Some(range) => {
-                    range.start = range.start.min(m);
-                    range.end = range.end.max(m + 1);
-                }
-                slot => *slot = Some(m..m + 1),
-            }
-        }
-        out
-    }
 }
 
 /// The measured index range a warping path matches to the reference index
@@ -1129,17 +1106,6 @@ mod tests {
         assert_eq!(r.matched_range(1, 2), Some(1..3));
         assert_eq!(r.matched_range(0, 3), Some(0..4));
         assert_eq!(r.matched_range(5, 6), None);
-    }
-
-    #[test]
-    fn matched_ranges_agrees_with_per_segment_queries() {
-        let r = DtwResult { cost: 0.0, path: vec![(0, 0), (1, 1), (1, 2), (3, 3), (3, 4)] };
-        let all = r.matched_ranges();
-        assert_eq!(all.len(), 4);
-        for (i, range) in all.iter().enumerate() {
-            assert_eq!(*range, r.matched_range(i, i + 1), "segment {i}");
-        }
-        assert_eq!(all[2], None);
     }
 
     #[test]

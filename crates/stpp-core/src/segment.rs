@@ -194,14 +194,6 @@ impl SegmentedProfile {
         }
     }
 
-    /// The mean phase of each segment — the coarse representation `S(P)`
-    /// used by the Y-axis ordering, except that there the number of
-    /// segments is fixed rather than the window size; see
-    /// [`equal_count_means`](Self::equal_count_means).
-    pub fn mean_phases(&self) -> Vec<f64> {
-        self.segments.iter().map(|s| s.mean_phase).collect()
-    }
-
     /// Splits a profile into exactly `k` segments of (nearly) equal sample
     /// count and returns the mean phase of each — the representation used
     /// to compare V-zone profiles along the Y axis. Returns `None` if the

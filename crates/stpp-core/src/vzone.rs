@@ -713,23 +713,8 @@ impl VZoneDetector {
         self.detect_with_bank_validated(measured, &bank, scratch)
     }
 
-    /// [`detect`](Self::detect) against an explicit precomputed reference
-    /// bank.
-    pub fn detect_with_bank(
-        &self,
-        measured: &PhaseProfile,
-        bank: &ReferenceBank,
-        scratch: &mut DetectScratch,
-    ) -> Result<Option<VZoneDetection>, DetectError> {
-        if measured.len() < self.min_samples {
-            return Ok(None);
-        }
-        validate_profile(measured)?;
-        self.detect_with_bank_validated(measured, bank, scratch)
-    }
-
     /// The detection body, assuming `measured` has already passed the
-    /// `min_samples` gate and [`validate_profile`] (every public entry
+    /// `min_samples` gate and [`validate_profile`] (the public entry
     /// performs both exactly once).
     fn detect_with_bank_validated(
         &self,

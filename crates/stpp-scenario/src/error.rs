@@ -98,3 +98,25 @@ impl std::fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+/// A failed derived read becomes the variant for its kind of failure, at
+/// the failure's JSON path.
+impl From<serde::Error> for ScenarioError {
+    fn from(error: serde::Error) -> Self {
+        let path = error.path().to_string();
+        let reason = error.message().to_string();
+        match error.kind() {
+            serde::ErrorKind::Syntax => ScenarioError::Json { reason },
+            serde::ErrorKind::InvalidType(expected) => {
+                ScenarioError::TypeMismatch { path, expected }
+            }
+            serde::ErrorKind::NonFinite => ScenarioError::NonFinite { path },
+            serde::ErrorKind::UnknownField => ScenarioError::UnknownField { path },
+            serde::ErrorKind::MissingField => ScenarioError::MissingField { path },
+            serde::ErrorKind::UnknownVariant => ScenarioError::InvalidValue { path, reason },
+            // The one reader in the schema with rules of its own is the
+            // duration's.
+            serde::ErrorKind::Custom => ScenarioError::BadDuration { path, reason },
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! The declarative scenario schema and its hand-written parser.
+//! The declarative scenario schema.
 //!
 //! A scenario file is a JSON object describing one complete workload:
 //! the tag population and its geometry, the deployment (antenna-moving
@@ -6,20 +6,20 @@
 //! request schedule, optional wire impairments, and the end-of-run
 //! [`Expectations`] the runner enforces.
 //!
-//! The parser is written by hand over the raw [`serde::Value`] tree from
-//! `serde_json::parse`, because a scenario file is written by people,
-//! not by the derived writers, and the derived readers accept only the
-//! canonical layout those write. By hand, fields may come in any order
-//! and optional ones take their defaults; every error is a typed
-//! [`ScenarioError`] carrying the JSON path of the offending field,
-//! unknown fields are rejected, and hostile documents — malformed or
-//! too deeply nested JSON, non-finite knobs, bad duration strings — never
-//! panic.
-//! Serialization ([`ScenarioSpec::to_json`]) emits a canonical
-//! pretty-printed form such that `parse(serialize(s)) == s` for every
-//! valid spec.
+//! People write these files, so the types derive the document readers:
+//! their `#[serde(...)]` attributes, which mean what they mean in real
+//! serde, let fields come in any order, give an absent field its default
+//! (`None` for an `Option`), and reject an unknown or repeated key. A
+//! duration is a string with a unit, read and written by hand.
+//! [`ScenarioSpec::from_json`] then makes the range checks the types do
+//! not carry, all in one `validate`, and answers every failure with a
+//! typed [`ScenarioError`] carrying the JSON path of the offending field;
+//! hostile documents — malformed or too deeply nested JSON, non-finite
+//! knobs, bad duration strings — never panic.
+//! [`ScenarioSpec::to_json`] writes the canonical pretty-printed form,
+//! such that `parse(serialize(s)) == s` for every valid spec.
 
-use serde::Value;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::error::ScenarioError;
 
@@ -36,34 +36,25 @@ impl DurationSpec {
     /// A zero-length duration.
     pub const ZERO: DurationSpec = DurationSpec { seconds: 0.0 };
 
-    /// Parses `"123ms"` / `"1.5s"` style strings.
-    fn parse(text: &str, path: &str) -> Result<DurationSpec, ScenarioError> {
-        let bad = |reason: &str| ScenarioError::BadDuration {
-            path: path.to_string(),
-            reason: reason.to_string(),
-        };
+    /// Parses `"123ms"` / `"1.5s"` style strings; the error is the reason.
+    fn parse(text: &str) -> Result<DurationSpec, String> {
         let text = text.trim();
         let (number, scale) = if let Some(stripped) = text.strip_suffix("ms") {
             (stripped, 1e-3)
         } else if let Some(stripped) = text.strip_suffix('s') {
             (stripped, 1.0)
         } else {
-            return Err(bad("expected an `s` or `ms` suffix"));
+            return Err("expected an `s` or `ms` suffix".to_string());
         };
         let value: f64 =
-            number.trim().parse().map_err(|_| bad(&format!("`{number}` is not a number")))?;
+            number.trim().parse().map_err(|_| format!("`{number}` is not a number"))?;
         if !value.is_finite() {
-            return Err(bad("must be finite"));
+            return Err("must be finite".to_string());
         }
         if value < 0.0 {
-            return Err(bad("must be non-negative"));
+            return Err("must be non-negative".to_string());
         }
         Ok(DurationSpec { seconds: value * scale })
-    }
-
-    /// The canonical serialized form (always in seconds).
-    fn render(&self) -> String {
-        format!("{:?}s", self.seconds)
     }
 
     /// This duration as a [`std::time::Duration`].
@@ -72,8 +63,24 @@ impl DurationSpec {
     }
 }
 
+/// The canonical form, always in seconds: `"0.25s"`.
+impl Serialize for DurationSpec {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(&format!("{:?}s", self.seconds));
+    }
+}
+
+/// A string the parser rejects is a custom error, which
+/// [`ScenarioError`] reports as [`ScenarioError::BadDuration`].
+impl Deserialize for DurationSpec {
+    fn deserialize<D: Deserializer>(source: &mut D) -> Result<Self, D::Error> {
+        DurationSpec::parse(source.str()?).map_err(|reason| serde::Error::custom(reason).into())
+    }
+}
+
 /// Where the tags are.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum LayoutSpec {
     /// An evenly spaced row along X (the paper's canonical layout).
     Row {
@@ -88,11 +95,13 @@ pub enum LayoutSpec {
     },
     /// Explicit per-tag positions in the tag plane; ids are assigned in
     /// listing order.
+    #[serde(rename = "tags")]
     Explicit(Vec<TagPosition>),
 }
 
 /// One explicitly placed tag.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TagPosition {
     /// X coordinate, metres.
     pub x_m: f64,
@@ -101,51 +110,85 @@ pub struct TagPosition {
 }
 
 /// The tag population.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PopulationSpec {
     /// Tag geometry.
     pub layout: LayoutSpec,
     /// Per-tag reflection-phase jitter θ_TAG drawn uniformly from
     /// `[0, jitter)` radians — models a mixed-model tag population.
+    #[serde(default)]
     pub phase_offset_jitter_rad: f64,
 }
 
 /// How reader and tags move relative to each other.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case", deny_unknown_fields)]
 pub enum DeploymentSpec {
     /// Stationary tags, hand-pushed antenna sweeping along X (library /
     /// shelf case).
     AntennaSweep {
         /// Perpendicular antenna-to-tag-plane distance, metres.
+        #[serde(default = "standoff_y_m")]
         standoff_y_m: f64,
         /// Antenna height below the tag plane, metres.
+        #[serde(default)]
         height_z_m: f64,
         /// Extra travel before the first and after the last tag, metres.
+        #[serde(default = "margin_x_m")]
         margin_x_m: f64,
         /// Nominal sweep speed, m/s (> 0).
+        #[serde(default = "speed_mps")]
         speed_mps: f64,
         /// `true` for the jittery hand-pushed profile, `false` for a
         /// perfectly linear sweep.
+        #[serde(default = "manual")]
         manual: bool,
     },
     /// Stationary antenna, tags riding a conveyor belt (portal /
     /// sortation case).
     Conveyor {
         /// Belt speed along +X, m/s (> 0).
+        #[serde(default = "belt_speed_mps")]
         belt_speed_mps: f64,
         /// Antenna lateral distance from the belt centre line, metres.
+        #[serde(default = "one_metre")]
         antenna_standoff_y_m: f64,
         /// Antenna height above the belt, metres.
+        #[serde(default = "one_metre")]
         antenna_height_z_m: f64,
         /// Antenna position along X, metres.
+        #[serde(default)]
         antenna_x_m: f64,
         /// Extra belt travel margin, metres.
+        #[serde(default = "margin_x_m")]
         margin_x_m: f64,
     },
 }
 
+// The deployment knobs' defaults.
+fn standoff_y_m() -> f64 {
+    0.35
+}
+fn margin_x_m() -> f64 {
+    0.5
+}
+fn speed_mps() -> f64 {
+    0.1
+}
+fn manual() -> bool {
+    true
+}
+fn belt_speed_mps() -> f64 {
+    0.3
+}
+fn one_metre() -> f64 {
+    1.0
+}
+
 /// Multipath environment override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum MultipathSpec {
     /// No reflectors at all.
     FreeSpace,
@@ -155,21 +198,27 @@ pub enum MultipathSpec {
 
 /// Channel-noise overrides. Absent knobs keep the deployment's default
 /// realistic channel (calibrated to the paper's measured profiles).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChannelSpec {
     /// Phase-noise standard deviation, radians.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub phase_noise_std_rad: Option<f64>,
     /// RSSI-noise standard deviation, dB.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rssi_noise_std_db: Option<f64>,
     /// Baseline per-interrogation miss probability, `[0, 1]`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub base_miss_probability: Option<f64>,
     /// Multipath environment override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub multipath: Option<MultipathSpec>,
 }
 
 /// The reader-side request schedule: how many times the recorded batch
 /// is submitted, and the gap between submissions.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ScheduleSpec {
     /// Number of localization requests (≥ 1).
     pub requests: u64,
@@ -184,7 +233,8 @@ impl Default for ScheduleSpec {
 }
 
 /// Server sizing for the service and wire runners.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ServerSpec {
     /// Admission-queue depth (requests beyond it get `Busy`).
     pub queue_depth: u64,
@@ -193,6 +243,7 @@ pub struct ServerSpec {
     /// Concurrent-connection cap override; a connection accepted at the
     /// cap gets the typed `TooManyConnections` frame. `None` keeps the
     /// server default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_connections: Option<u64>,
 }
 
@@ -207,27 +258,31 @@ impl Default for ServerSpec {
 /// server's frame reads across short reads), directly against the server
 /// address (the chaos proxy, if any, is bypassed — the storm probes the
 /// server, not the wire impairments).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StormSpec {
-    /// Concurrent storm connections, `[1, 256]`.
+    /// Concurrent storm connections, `[1, 256]`; required.
     pub connections: u64,
     /// Localize requests each connection performs, `[1, 100]`.
+    #[serde(default = "one")]
     pub requests_per_connection: u64,
     /// Bytes written per trickle chunk, `[1, 1048576]`.
+    #[serde(default = "chunk_bytes")]
     pub chunk_bytes: u64,
     /// Pause between consecutive chunks (capped at 100ms).
+    #[serde(default = "chunk_gap")]
     pub chunk_gap: DurationSpec,
 }
 
-impl Default for StormSpec {
-    fn default() -> Self {
-        StormSpec {
-            connections: 8,
-            requests_per_connection: 1,
-            chunk_bytes: 2048,
-            chunk_gap: DurationSpec { seconds: 0.001 },
-        }
-    }
+// The storm knobs' defaults.
+fn one() -> u64 {
+    1
+}
+fn chunk_bytes() -> u64 {
+    2048
+}
+fn chunk_gap() -> DurationSpec {
+    DurationSpec { seconds: 0.001 }
 }
 
 /// The streaming feed: besides the scheduled whole-recording batch
@@ -242,7 +297,8 @@ impl Default for StormSpec {
 /// — the feed probes the streaming path, not the wire impairments).
 /// Pipeline mode has no session layer and skips the feed, so streaming
 /// expectations are skipped there.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct StreamingSpec {
     /// Poll the provisional ordering after every Nth ingested report
     /// (and once more at end of stream), `[1, 100000]`.
@@ -258,7 +314,8 @@ impl Default for StreamingSpec {
 /// Wire-level impairments, applied by the chaos proxy between the
 /// client and the spawned server. Only the wire runner exercises these;
 /// the server itself stays untouched.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ImpairmentSpec {
     /// RNG seed for the probabilistic impairments.
     pub seed: u64,
@@ -322,7 +379,8 @@ impl Default for ImpairmentSpec {
 /// [`RetryPolicy`](stpp_serve::RetryPolicy) and circuit breaker its
 /// [`ResilientClient`](stpp_serve::ResilientClient) runs under. Absent
 /// (`client` omitted from the scenario), the defaults below apply.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ClientSpec {
     /// Attempt budget per logical call, `[1, 1000]`.
     pub attempts: u64,
@@ -360,64 +418,87 @@ impl Default for ClientSpec {
 
 /// End-of-run expectations, checked by the runner. Every absent field
 /// is simply not checked.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct Expectations {
     /// Pinned X ordering (exact match).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub order_x: Option<Vec<u64>>,
     /// Pinned Y ordering (exact match).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub order_y: Option<Vec<u64>>,
     /// Pinned undetected set (exact match).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub undetected: Option<Vec<u64>>,
     /// Ordering-accuracy floor along X, `[0, 1]`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_accuracy_x: Option<f64>,
     /// Ordering-accuracy floor along Y, `[0, 1]`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_accuracy_y: Option<f64>,
     /// Per-request latency ceiling (the slowest request must beat it).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_request_latency: Option<DurationSpec>,
     /// Ceiling on `busy_responses / localize attempts`, `[0, 1]`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_busy_rate: Option<f64>,
     /// Floor on observed `Busy` responses (drills included).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_busy_responses: Option<u64>,
     /// Ceiling on transport errors (torn/churned connections).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_transport_errors: Option<u64>,
     /// Floor on transport errors — a chaos scenario asserts its
     /// impairments actually fired.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_transport_errors: Option<u64>,
     /// Assert warm requests (second onwards) build zero reference banks.
+    #[serde(skip_serializing_if = "std::ops::Not::not")]
     pub warm_zero_builds: bool,
     /// Floor on geometry-cache hits across the run.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_geometry_hits: Option<u64>,
     /// Floor on client retry attempts (beyond each call's first) — a
     /// fault scenario asserts its chaos actually forced retries.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_retries: Option<u64>,
     /// Ceiling on client retry attempts — recovery must stay cheap.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_retries: Option<u64>,
     /// Floor on deadline expiries (blackhole scenarios assert the
     /// deadline fired).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_timeouts: Option<u64>,
     /// Ceiling on deadline expiries.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_timeouts: Option<u64>,
     /// Floor on circuit-open transitions.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_circuit_opens: Option<u64>,
     /// Ceiling on circuit-open transitions (a recovering run must not
     /// flap).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_circuit_opens: Option<u64>,
     /// Floor on storm connections fully served (every trickled request
     /// answered `Localized` with the deterministic result).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_storm_connections: Option<u64>,
     /// Floor on provisional polls that returned at least one estimated
     /// tag (streaming feed only; requires a `streaming` block).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_provisional_results: Option<u64>,
     /// Ceiling on the time-to-first-result: the stream time between the
     /// first ingested report and the first provisional poll that
     /// returned an estimate, measured on the deterministic report clock
     /// — not wall time, so the bound is stable in CI (streaming feed
     /// only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_time_to_first_result: Option<DurationSpec>,
 }
 
 /// One complete declarative scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Human-readable scenario name.
     pub name: String,
@@ -429,798 +510,37 @@ pub struct ScenarioSpec {
     /// The deployment.
     pub deployment: DeploymentSpec,
     /// Channel-noise overrides (`None` = deployment default).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub channel: Option<ChannelSpec>,
     /// The request schedule.
+    #[serde(default)]
     pub schedule: ScheduleSpec,
     /// Server sizing (service and wire runners).
+    #[serde(default)]
     pub server: ServerSpec,
     /// Connection storm (`None` = no storm; wire runner only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub storm: Option<StormSpec>,
     /// Streaming feed (`None` = batch requests only; service and wire
     /// runners).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub streaming: Option<StreamingSpec>,
     /// Wire-client resilience policy (`None` = defaults).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub client: Option<ClientSpec>,
     /// Wire impairments (`None` = clean wire).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub impairments: Option<ImpairmentSpec>,
     /// End-of-run expectations.
+    #[serde(default)]
     pub expectations: Expectations,
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-/// A map walker that tracks which keys were consumed so `finish` can
-/// reject unknown (or duplicated) fields with their exact path.
-struct Fields<'a> {
-    path: String,
-    entries: &'a [(String, Value)],
-    used: Vec<bool>,
-}
-
-impl<'a> Fields<'a> {
-    fn new(value: &'a Value, path: &str) -> Result<Self, ScenarioError> {
-        match value {
-            Value::Map(entries) => {
-                Ok(Fields { path: path.to_string(), entries, used: vec![false; entries.len()] })
-            }
-            _ => Err(ScenarioError::TypeMismatch { path: path.to_string(), expected: "an object" }),
-        }
-    }
-
-    fn child(&self, name: &str) -> String {
-        if self.path.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{name}", self.path)
-        }
-    }
-
-    fn optional(&mut self, name: &str) -> Option<(&'a Value, String)> {
-        for (i, (key, value)) in self.entries.iter().enumerate() {
-            if key == name && !self.used[i] {
-                self.used[i] = true;
-                return Some((value, self.child(name)));
-            }
-        }
-        None
-    }
-
-    fn required(&mut self, name: &str) -> Result<(&'a Value, String), ScenarioError> {
-        self.optional(name).ok_or_else(|| ScenarioError::MissingField { path: self.child(name) })
-    }
-
-    fn finish(self) -> Result<(), ScenarioError> {
-        for (i, (key, _)) in self.entries.iter().enumerate() {
-            if !self.used[i] {
-                return Err(ScenarioError::UnknownField { path: self.child(key) });
-            }
-        }
-        Ok(())
-    }
-}
-
-fn f64_at(value: &Value, path: &str) -> Result<f64, ScenarioError> {
-    let x = match value {
-        Value::F64(x) => *x,
-        Value::U64(n) => *n as f64,
-        Value::I64(n) => *n as f64,
-        _ => {
-            return Err(ScenarioError::TypeMismatch {
-                path: path.to_string(),
-                expected: "a number",
-            })
-        }
-    };
-    if !x.is_finite() {
-        return Err(ScenarioError::NonFinite { path: path.to_string() });
-    }
-    Ok(x)
-}
-
-fn u64_at(value: &Value, path: &str) -> Result<u64, ScenarioError> {
-    match value {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) if *n >= 0 => Ok(*n as u64),
-        _ => Err(ScenarioError::TypeMismatch {
-            path: path.to_string(),
-            expected: "a non-negative integer",
-        }),
-    }
-}
-
-fn bool_at(value: &Value, path: &str) -> Result<bool, ScenarioError> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(ScenarioError::TypeMismatch { path: path.to_string(), expected: "a boolean" }),
-    }
-}
-
-fn str_at<'a>(value: &'a Value, path: &str) -> Result<&'a str, ScenarioError> {
-    match value {
-        Value::Str(s) => Ok(s),
-        _ => Err(ScenarioError::TypeMismatch { path: path.to_string(), expected: "a string" }),
-    }
-}
-
-fn duration_at(value: &Value, path: &str) -> Result<DurationSpec, ScenarioError> {
-    DurationSpec::parse(str_at(value, path)?, path)
-}
-
-fn ids_at(value: &Value, path: &str) -> Result<Vec<u64>, ScenarioError> {
-    let items = match value {
-        Value::Seq(items) => items,
-        _ => {
-            return Err(ScenarioError::TypeMismatch {
-                path: path.to_string(),
-                expected: "an array of tag ids",
-            })
-        }
-    };
-    items.iter().enumerate().map(|(i, item)| u64_at(item, &format!("{path}[{i}]"))).collect()
-}
-
-fn unit_fraction_at(value: &Value, path: &str) -> Result<f64, ScenarioError> {
-    let x = f64_at(value, path)?;
-    if !(0.0..=1.0).contains(&x) {
-        return Err(ScenarioError::InvalidValue {
-            path: path.to_string(),
-            reason: format!("{x} is outside [0, 1]"),
-        });
-    }
-    Ok(x)
-}
-
-fn non_negative_at(value: &Value, path: &str) -> Result<f64, ScenarioError> {
-    let x = f64_at(value, path)?;
-    if x < 0.0 {
-        return Err(ScenarioError::InvalidValue {
-            path: path.to_string(),
-            reason: format!("{x} is negative"),
-        });
-    }
-    Ok(x)
-}
-
-fn positive_at(value: &Value, path: &str) -> Result<f64, ScenarioError> {
-    let x = f64_at(value, path)?;
-    if x <= 0.0 {
-        return Err(ScenarioError::InvalidValue {
-            path: path.to_string(),
-            reason: format!("{x} is not positive"),
-        });
-    }
-    Ok(x)
-}
-
-fn parse_layout(value: &Value, path: &str) -> Result<LayoutSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    if let Some((row, row_path)) = fields.optional("row") {
-        let mut row_fields = Fields::new(row, &row_path)?;
-        let layout = LayoutSpec::Row {
-            start_x_m: {
-                let (v, p) = row_fields.required("start_x_m")?;
-                f64_at(v, &p)?
-            },
-            y_m: {
-                let (v, p) = row_fields.required("y_m")?;
-                f64_at(v, &p)?
-            },
-            spacing_m: {
-                let (v, p) = row_fields.required("spacing_m")?;
-                positive_at(v, &p)?
-            },
-            count: {
-                let (v, p) = row_fields.required("count")?;
-                u64_at(v, &p)?
-            },
-        };
-        row_fields.finish()?;
-        fields.finish()?;
-        return Ok(layout);
-    }
-    if let Some((tags, tags_path)) = fields.optional("tags") {
-        let items = match tags {
-            Value::Seq(items) => items,
-            _ => {
-                return Err(ScenarioError::TypeMismatch {
-                    path: tags_path,
-                    expected: "an array of tag positions",
-                })
-            }
-        };
-        let mut positions = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let item_path = format!("{tags_path}[{i}]");
-            let mut tag_fields = Fields::new(item, &item_path)?;
-            positions.push(TagPosition {
-                x_m: {
-                    let (v, p) = tag_fields.required("x_m")?;
-                    f64_at(v, &p)?
-                },
-                y_m: {
-                    let (v, p) = tag_fields.required("y_m")?;
-                    f64_at(v, &p)?
-                },
-            });
-            tag_fields.finish()?;
-        }
-        fields.finish()?;
-        return Ok(LayoutSpec::Explicit(positions));
-    }
-    Err(ScenarioError::InvalidValue {
-        path: path.to_string(),
-        reason: "expected exactly one of `row` or `tags`".to_string(),
-    })
-}
-
-fn parse_population(value: &Value, path: &str) -> Result<PopulationSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let layout = {
-        let (v, p) = fields.required("layout")?;
-        parse_layout(v, &p)?
-    };
-    let phase_offset_jitter_rad = match fields.optional("phase_offset_jitter_rad") {
-        Some((v, p)) => non_negative_at(v, &p)?,
-        None => 0.0,
-    };
-    fields.finish()?;
-    Ok(PopulationSpec { layout, phase_offset_jitter_rad })
-}
-
-fn parse_deployment(value: &Value, path: &str) -> Result<DeploymentSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    if let Some((sweep, sweep_path)) = fields.optional("antenna_sweep") {
-        let mut sweep_fields = Fields::new(sweep, &sweep_path)?;
-        let deployment = DeploymentSpec::AntennaSweep {
-            standoff_y_m: match sweep_fields.optional("standoff_y_m") {
-                Some((v, p)) => positive_at(v, &p)?,
-                None => 0.35,
-            },
-            height_z_m: match sweep_fields.optional("height_z_m") {
-                Some((v, p)) => f64_at(v, &p)?,
-                None => 0.0,
-            },
-            margin_x_m: match sweep_fields.optional("margin_x_m") {
-                Some((v, p)) => non_negative_at(v, &p)?,
-                None => 0.5,
-            },
-            speed_mps: match sweep_fields.optional("speed_mps") {
-                Some((v, p)) => positive_at(v, &p)?,
-                None => 0.1,
-            },
-            manual: match sweep_fields.optional("manual") {
-                Some((v, p)) => bool_at(v, &p)?,
-                None => true,
-            },
-        };
-        sweep_fields.finish()?;
-        fields.finish()?;
-        return Ok(deployment);
-    }
-    if let Some((belt, belt_path)) = fields.optional("conveyor") {
-        let mut belt_fields = Fields::new(belt, &belt_path)?;
-        let deployment = DeploymentSpec::Conveyor {
-            belt_speed_mps: match belt_fields.optional("belt_speed_mps") {
-                Some((v, p)) => positive_at(v, &p)?,
-                None => 0.3,
-            },
-            antenna_standoff_y_m: match belt_fields.optional("antenna_standoff_y_m") {
-                Some((v, p)) => positive_at(v, &p)?,
-                None => 1.0,
-            },
-            antenna_height_z_m: match belt_fields.optional("antenna_height_z_m") {
-                Some((v, p)) => f64_at(v, &p)?,
-                None => 1.0,
-            },
-            antenna_x_m: match belt_fields.optional("antenna_x_m") {
-                Some((v, p)) => f64_at(v, &p)?,
-                None => 0.0,
-            },
-            margin_x_m: match belt_fields.optional("margin_x_m") {
-                Some((v, p)) => non_negative_at(v, &p)?,
-                None => 0.5,
-            },
-        };
-        belt_fields.finish()?;
-        fields.finish()?;
-        return Ok(deployment);
-    }
-    Err(ScenarioError::InvalidValue {
-        path: path.to_string(),
-        reason: "expected exactly one of `antenna_sweep` or `conveyor`".to_string(),
-    })
-}
-
-fn parse_channel(value: &Value, path: &str) -> Result<ChannelSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let channel = ChannelSpec {
-        phase_noise_std_rad: match fields.optional("phase_noise_std_rad") {
-            Some((v, p)) => Some(non_negative_at(v, &p)?),
-            None => None,
-        },
-        rssi_noise_std_db: match fields.optional("rssi_noise_std_db") {
-            Some((v, p)) => Some(non_negative_at(v, &p)?),
-            None => None,
-        },
-        base_miss_probability: match fields.optional("base_miss_probability") {
-            Some((v, p)) => Some(unit_fraction_at(v, &p)?),
-            None => None,
-        },
-        multipath: match fields.optional("multipath") {
-            Some((v, p)) => Some(match str_at(v, &p)? {
-                "free_space" => MultipathSpec::FreeSpace,
-                "indoor_shelf" => MultipathSpec::IndoorShelf,
-                other => {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: format!(
-                            "`{other}` is not a multipath model (expected `free_space` or `indoor_shelf`)"
-                        ),
-                    })
-                }
-            }),
-            None => None,
-        },
-    };
-    fields.finish()?;
-    Ok(channel)
-}
-
-fn parse_schedule(value: &Value, path: &str) -> Result<ScheduleSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let requests = match fields.optional("requests") {
-        Some((v, p)) => {
-            let n = u64_at(v, &p)?;
-            if n == 0 || n > 10_000 {
-                return Err(ScenarioError::InvalidValue {
-                    path: p,
-                    reason: format!("{n} is outside [1, 10000]"),
-                });
-            }
-            n
-        }
-        None => 1,
-    };
-    let gap = match fields.optional("gap") {
-        Some((v, p)) => duration_at(v, &p)?,
-        None => DurationSpec::ZERO,
-    };
-    fields.finish()?;
-    Ok(ScheduleSpec { requests, gap })
-}
-
-fn parse_server(value: &Value, path: &str) -> Result<ServerSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let bounded = |v: &Value, p: String, hi: u64| -> Result<u64, ScenarioError> {
-        let n = u64_at(v, &p)?;
-        if n == 0 || n > hi {
-            return Err(ScenarioError::InvalidValue {
-                path: p,
-                reason: format!("{n} is outside [1, {hi}]"),
-            });
-        }
-        Ok(n)
-    };
-    let queue_depth = match fields.optional("queue_depth") {
-        Some((v, p)) => bounded(v, p, 4096)?,
-        None => 32,
-    };
-    let pool_workers = match fields.optional("pool_workers") {
-        Some((v, p)) => bounded(v, p, 64)?,
-        None => 2,
-    };
-    let max_connections = match fields.optional("max_connections") {
-        Some((v, p)) => Some(bounded(v, p, 65536)?),
-        None => None,
-    };
-    fields.finish()?;
-    Ok(ServerSpec { queue_depth, pool_workers, max_connections })
-}
-
-fn parse_storm(value: &Value, path: &str) -> Result<StormSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let defaults = StormSpec::default();
-    let bounded = |v: &Value, p: String, hi: u64| -> Result<u64, ScenarioError> {
-        let n = u64_at(v, &p)?;
-        if n == 0 || n > hi {
-            return Err(ScenarioError::InvalidValue {
-                path: p,
-                reason: format!("{n} is outside [1, {hi}]"),
-            });
-        }
-        Ok(n)
-    };
-    let spec = StormSpec {
-        connections: {
-            let (v, p) = fields.required("connections")?;
-            bounded(v, p, 256)?
-        },
-        requests_per_connection: match fields.optional("requests_per_connection") {
-            Some((v, p)) => bounded(v, p, 100)?,
-            None => defaults.requests_per_connection,
-        },
-        chunk_bytes: match fields.optional("chunk_bytes") {
-            Some((v, p)) => bounded(v, p, 1 << 20)?,
-            None => defaults.chunk_bytes,
-        },
-        chunk_gap: match fields.optional("chunk_gap") {
-            Some((v, p)) => {
-                let d = duration_at(v, &p)?;
-                if d.seconds > 0.1 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: "per-chunk gaps above 100ms would stall the run".to_string(),
-                    });
-                }
-                d
-            }
-            None => defaults.chunk_gap,
-        },
-    };
-    fields.finish()?;
-    Ok(spec)
-}
-
-fn parse_streaming(value: &Value, path: &str) -> Result<StreamingSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let defaults = StreamingSpec::default();
-    let spec = StreamingSpec {
-        poll_every_reports: match fields.optional("poll_every_reports") {
-            Some((v, p)) => {
-                let n = u64_at(v, &p)?;
-                if n == 0 || n > 100_000 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: format!("{n} is outside [1, 100000]"),
-                    });
-                }
-                n
-            }
-            None => defaults.poll_every_reports,
-        },
-    };
-    fields.finish()?;
-    Ok(spec)
-}
-
-fn parse_impairments(value: &Value, path: &str) -> Result<ImpairmentSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let defaults = ImpairmentSpec::default();
-    let every = |v: &Value, p: String| -> Result<u64, ScenarioError> {
-        let n = u64_at(v, &p)?;
-        if n == 1 {
-            return Err(ScenarioError::InvalidValue {
-                path: p,
-                reason: "1 would impair every frame and the run could never make progress; use 0 \
-                         to disable or ≥ 2"
-                    .to_string(),
-            });
-        }
-        Ok(n)
-    };
-    let spec = ImpairmentSpec {
-        seed: match fields.optional("seed") {
-            Some((v, p)) => u64_at(v, &p)?,
-            None => defaults.seed,
-        },
-        delay: match fields.optional("delay") {
-            Some((v, p)) => {
-                let d = duration_at(v, &p)?;
-                if d.seconds > 1.0 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: "per-frame delay above 1s would stall the run".to_string(),
-                    });
-                }
-                d
-            }
-            None => defaults.delay,
-        },
-        reorder_rate: match fields.optional("reorder_rate") {
-            Some((v, p)) => unit_fraction_at(v, &p)?,
-            None => defaults.reorder_rate,
-        },
-        truncate_every: match fields.optional("truncate_every") {
-            Some((v, p)) => every(v, p)?,
-            None => defaults.truncate_every,
-        },
-        churn_every: match fields.optional("churn_every") {
-            Some((v, p)) => every(v, p)?,
-            None => defaults.churn_every,
-        },
-        blackhole_every: match fields.optional("blackhole_every") {
-            Some((v, p)) => every(v, p)?,
-            None => defaults.blackhole_every,
-        },
-        stall_every: match fields.optional("stall_every") {
-            Some((v, p)) => every(v, p)?,
-            None => defaults.stall_every,
-        },
-        stall: match fields.optional("stall") {
-            Some((v, p)) => {
-                let d = duration_at(v, &p)?;
-                if d.seconds > 1.0 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: "mid-frame stalls above 1s would stall the run".to_string(),
-                    });
-                }
-                d
-            }
-            None => defaults.stall,
-        },
-        kill_after_requests: match fields.optional("kill_after_requests") {
-            Some((v, p)) => {
-                let n = u64_at(v, &p)?;
-                if n > 1000 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: format!("{n} is above the cap of 1000"),
-                    });
-                }
-                n
-            }
-            None => defaults.kill_after_requests,
-        },
-        pause_drills: match fields.optional("pause_drills") {
-            Some((v, p)) => {
-                let n = u64_at(v, &p)?;
-                if n > 16 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: format!("{n} drills is above the cap of 16"),
-                    });
-                }
-                n
-            }
-            None => defaults.pause_drills,
-        },
-        pause_hold: match fields.optional("pause_hold") {
-            Some((v, p)) => {
-                let d = duration_at(v, &p)?;
-                if d.seconds > 2.0 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: "drill holds above 2s make the suite needlessly slow".to_string(),
-                    });
-                }
-                d
-            }
-            None => defaults.pause_hold,
-        },
-    };
-    fields.finish()?;
-    Ok(spec)
-}
-
-fn parse_client(value: &Value, path: &str) -> Result<ClientSpec, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let defaults = ClientSpec::default();
-    let bounded = |v: &Value, p: String, hi: u64| -> Result<u64, ScenarioError> {
-        let n = u64_at(v, &p)?;
-        if n == 0 || n > hi {
-            return Err(ScenarioError::InvalidValue {
-                path: p,
-                reason: format!("{n} is outside [1, {hi}]"),
-            });
-        }
-        Ok(n)
-    };
-    let capped_duration = |v: &Value, p: String, cap: f64| -> Result<DurationSpec, ScenarioError> {
-        let d = duration_at(v, &p)?;
-        if d.seconds > cap {
-            return Err(ScenarioError::InvalidValue {
-                path: p,
-                reason: format!("{} is above the cap of {cap}s", d.seconds),
-            });
-        }
-        Ok(d)
-    };
-    let spec = ClientSpec {
-        attempts: match fields.optional("attempts") {
-            Some((v, p)) => bounded(v, p, 1000)?,
-            None => defaults.attempts,
-        },
-        base_backoff: match fields.optional("base_backoff") {
-            Some((v, p)) => capped_duration(v, p, 10.0)?,
-            None => defaults.base_backoff,
-        },
-        max_backoff: match fields.optional("max_backoff") {
-            Some((v, p)) => capped_duration(v, p, 30.0)?,
-            None => defaults.max_backoff,
-        },
-        jitter: match fields.optional("jitter") {
-            Some((v, p)) => unit_fraction_at(v, &p)?,
-            None => defaults.jitter,
-        },
-        deadline: match fields.optional("deadline") {
-            Some((v, p)) => {
-                let d = capped_duration(v, p.clone(), 60.0)?;
-                if d.seconds <= 0.0 {
-                    return Err(ScenarioError::InvalidValue {
-                        path: p,
-                        reason: "the deadline must be positive — a zero deadline would fail \
-                                 every call before it starts"
-                            .to_string(),
-                    });
-                }
-                d
-            }
-            None => defaults.deadline,
-        },
-        circuit_threshold: match fields.optional("circuit_threshold") {
-            Some((v, p)) => bounded(v, p, 1000)?,
-            None => defaults.circuit_threshold,
-        },
-        circuit_cooldown: match fields.optional("circuit_cooldown") {
-            Some((v, p)) => capped_duration(v, p, 60.0)?,
-            None => defaults.circuit_cooldown,
-        },
-        seed: match fields.optional("seed") {
-            Some((v, p)) => u64_at(v, &p)?,
-            None => defaults.seed,
-        },
-    };
-    fields.finish()?;
-    Ok(spec)
-}
-
-fn parse_expectations(value: &Value, path: &str) -> Result<Expectations, ScenarioError> {
-    let mut fields = Fields::new(value, path)?;
-    let expectations = Expectations {
-        order_x: match fields.optional("order_x") {
-            Some((v, p)) => Some(ids_at(v, &p)?),
-            None => None,
-        },
-        order_y: match fields.optional("order_y") {
-            Some((v, p)) => Some(ids_at(v, &p)?),
-            None => None,
-        },
-        undetected: match fields.optional("undetected") {
-            Some((v, p)) => Some(ids_at(v, &p)?),
-            None => None,
-        },
-        min_accuracy_x: match fields.optional("min_accuracy_x") {
-            Some((v, p)) => Some(unit_fraction_at(v, &p)?),
-            None => None,
-        },
-        min_accuracy_y: match fields.optional("min_accuracy_y") {
-            Some((v, p)) => Some(unit_fraction_at(v, &p)?),
-            None => None,
-        },
-        max_request_latency: match fields.optional("max_request_latency") {
-            Some((v, p)) => Some(duration_at(v, &p)?),
-            None => None,
-        },
-        max_busy_rate: match fields.optional("max_busy_rate") {
-            Some((v, p)) => Some(unit_fraction_at(v, &p)?),
-            None => None,
-        },
-        min_busy_responses: match fields.optional("min_busy_responses") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_transport_errors: match fields.optional("max_transport_errors") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_transport_errors: match fields.optional("min_transport_errors") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        warm_zero_builds: match fields.optional("warm_zero_builds") {
-            Some((v, p)) => bool_at(v, &p)?,
-            None => false,
-        },
-        min_geometry_hits: match fields.optional("min_geometry_hits") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_retries: match fields.optional("min_retries") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_retries: match fields.optional("max_retries") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_timeouts: match fields.optional("min_timeouts") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_timeouts: match fields.optional("max_timeouts") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_circuit_opens: match fields.optional("min_circuit_opens") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_circuit_opens: match fields.optional("max_circuit_opens") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_storm_connections: match fields.optional("min_storm_connections") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        min_provisional_results: match fields.optional("min_provisional_results") {
-            Some((v, p)) => Some(u64_at(v, &p)?),
-            None => None,
-        },
-        max_time_to_first_result: match fields.optional("max_time_to_first_result") {
-            Some((v, p)) => Some(duration_at(v, &p)?),
-            None => None,
-        },
-    };
-    fields.finish()?;
-    Ok(expectations)
 }
 
 impl ScenarioSpec {
     /// Parses a scenario from its JSON text.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, ScenarioError> {
-        let value =
-            serde_json::parse(text).map_err(|e| ScenarioError::Json { reason: e.to_string() })?;
-        ScenarioSpec::from_value(&value)
-    }
-
-    /// Parses a scenario from an already-decoded [`Value`] tree.
-    pub fn from_value(value: &Value) -> Result<ScenarioSpec, ScenarioError> {
-        let mut fields = Fields::new(value, "")?;
-        let spec = ScenarioSpec {
-            name: {
-                let (v, p) = fields.required("name")?;
-                str_at(v, &p)?.to_string()
-            },
-            seed: {
-                let (v, p) = fields.required("seed")?;
-                u64_at(v, &p)?
-            },
-            population: {
-                let (v, p) = fields.required("population")?;
-                parse_population(v, &p)?
-            },
-            deployment: {
-                let (v, p) = fields.required("deployment")?;
-                parse_deployment(v, &p)?
-            },
-            channel: match fields.optional("channel") {
-                Some((v, p)) => Some(parse_channel(v, &p)?),
-                None => None,
-            },
-            schedule: match fields.optional("schedule") {
-                Some((v, p)) => parse_schedule(v, &p)?,
-                None => ScheduleSpec::default(),
-            },
-            server: match fields.optional("server") {
-                Some((v, p)) => parse_server(v, &p)?,
-                None => ServerSpec::default(),
-            },
-            storm: match fields.optional("storm") {
-                Some((v, p)) => Some(parse_storm(v, &p)?),
-                None => None,
-            },
-            streaming: match fields.optional("streaming") {
-                Some((v, p)) => Some(parse_streaming(v, &p)?),
-                None => None,
-            },
-            client: match fields.optional("client") {
-                Some((v, p)) => Some(parse_client(v, &p)?),
-                None => None,
-            },
-            impairments: match fields.optional("impairments") {
-                Some((v, p)) => Some(parse_impairments(v, &p)?),
-                None => None,
-            },
-            expectations: match fields.optional("expectations") {
-                Some((v, p)) => parse_expectations(v, &p)?,
-                None => Expectations::default(),
-            },
-        };
-        fields.finish()?;
+        let spec: ScenarioSpec = serde_json::from_str(text)?;
+        spec.validate()?;
         Ok(spec)
     }
 
@@ -1233,344 +553,138 @@ impl ScenarioSpec {
         ScenarioSpec::from_json(&text)
     }
 
-    /// The canonical [`Value`] tree of this spec (what
-    /// [`to_json`](Self::to_json) pretty-prints).
-    pub fn to_value(&self) -> Value {
-        let mut root = vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("seed".to_string(), Value::U64(self.seed)),
-            ("population".to_string(), population_value(&self.population)),
-            ("deployment".to_string(), deployment_value(&self.deployment)),
-        ];
-        if let Some(channel) = &self.channel {
-            root.push(("channel".to_string(), channel_value(channel)));
-        }
-        root.push((
-            "schedule".to_string(),
-            Value::Map(vec![
-                ("requests".to_string(), Value::U64(self.schedule.requests)),
-                ("gap".to_string(), Value::Str(self.schedule.gap.render())),
-            ]),
-        ));
-        let mut server = vec![
-            ("queue_depth".to_string(), Value::U64(self.server.queue_depth)),
-            ("pool_workers".to_string(), Value::U64(self.server.pool_workers)),
-        ];
-        if let Some(max) = self.server.max_connections {
-            server.push(("max_connections".to_string(), Value::U64(max)));
-        }
-        root.push(("server".to_string(), Value::Map(server)));
-        if let Some(storm) = &self.storm {
-            root.push((
-                "storm".to_string(),
-                Value::Map(vec![
-                    ("connections".to_string(), Value::U64(storm.connections)),
-                    (
-                        "requests_per_connection".to_string(),
-                        Value::U64(storm.requests_per_connection),
-                    ),
-                    ("chunk_bytes".to_string(), Value::U64(storm.chunk_bytes)),
-                    ("chunk_gap".to_string(), Value::Str(storm.chunk_gap.render())),
-                ]),
-            ));
-        }
-        if let Some(streaming) = &self.streaming {
-            root.push((
-                "streaming".to_string(),
-                Value::Map(vec![(
-                    "poll_every_reports".to_string(),
-                    Value::U64(streaming.poll_every_reports),
-                )]),
-            ));
-        }
-        if let Some(client) = &self.client {
-            root.push((
-                "client".to_string(),
-                Value::Map(vec![
-                    ("attempts".to_string(), Value::U64(client.attempts)),
-                    ("base_backoff".to_string(), Value::Str(client.base_backoff.render())),
-                    ("max_backoff".to_string(), Value::Str(client.max_backoff.render())),
-                    ("jitter".to_string(), Value::F64(client.jitter)),
-                    ("deadline".to_string(), Value::Str(client.deadline.render())),
-                    ("circuit_threshold".to_string(), Value::U64(client.circuit_threshold)),
-                    ("circuit_cooldown".to_string(), Value::Str(client.circuit_cooldown.render())),
-                    ("seed".to_string(), Value::U64(client.seed)),
-                ]),
-            ));
-        }
-        if let Some(imp) = &self.impairments {
-            root.push((
-                "impairments".to_string(),
-                Value::Map(vec![
-                    ("seed".to_string(), Value::U64(imp.seed)),
-                    ("delay".to_string(), Value::Str(imp.delay.render())),
-                    ("reorder_rate".to_string(), Value::F64(imp.reorder_rate)),
-                    ("truncate_every".to_string(), Value::U64(imp.truncate_every)),
-                    ("churn_every".to_string(), Value::U64(imp.churn_every)),
-                    ("blackhole_every".to_string(), Value::U64(imp.blackhole_every)),
-                    ("stall_every".to_string(), Value::U64(imp.stall_every)),
-                    ("stall".to_string(), Value::Str(imp.stall.render())),
-                    ("kill_after_requests".to_string(), Value::U64(imp.kill_after_requests)),
-                    ("pause_drills".to_string(), Value::U64(imp.pause_drills)),
-                    ("pause_hold".to_string(), Value::Str(imp.pause_hold.render())),
-                ]),
-            ));
-        }
-        root.push(("expectations".to_string(), expectations_value(&self.expectations)));
-        Value::Map(root)
-    }
-
     /// Serializes the spec to canonical pretty-printed JSON such that
     /// `parse(serialize(s)) == s`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        write_pretty(&mut out, &self.to_value(), 0);
-        out.push('\n');
-        out
+        serde_json::to_string_pretty(self).expect("a spec always serializes") + "\n"
     }
-}
 
-fn population_value(population: &PopulationSpec) -> Value {
-    let layout = match &population.layout {
-        LayoutSpec::Row { start_x_m, y_m, spacing_m, count } => Value::Map(vec![(
-            "row".to_string(),
-            Value::Map(vec![
-                ("start_x_m".to_string(), Value::F64(*start_x_m)),
-                ("y_m".to_string(), Value::F64(*y_m)),
-                ("spacing_m".to_string(), Value::F64(*spacing_m)),
-                ("count".to_string(), Value::U64(*count)),
-            ]),
-        )]),
-        LayoutSpec::Explicit(tags) => Value::Map(vec![(
-            "tags".to_string(),
-            Value::Seq(
-                tags.iter()
-                    .map(|t| {
-                        Value::Map(vec![
-                            ("x_m".to_string(), Value::F64(t.x_m)),
-                            ("y_m".to_string(), Value::F64(t.y_m)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )]),
-    };
-    Value::Map(vec![
-        ("layout".to_string(), layout),
-        ("phase_offset_jitter_rad".to_string(), Value::F64(population.phase_offset_jitter_rad)),
-    ])
-}
-
-fn deployment_value(deployment: &DeploymentSpec) -> Value {
-    match deployment {
-        DeploymentSpec::AntennaSweep {
-            standoff_y_m,
-            height_z_m,
-            margin_x_m,
-            speed_mps,
-            manual,
-        } => Value::Map(vec![(
-            "antenna_sweep".to_string(),
-            Value::Map(vec![
-                ("standoff_y_m".to_string(), Value::F64(*standoff_y_m)),
-                ("height_z_m".to_string(), Value::F64(*height_z_m)),
-                ("margin_x_m".to_string(), Value::F64(*margin_x_m)),
-                ("speed_mps".to_string(), Value::F64(*speed_mps)),
-                ("manual".to_string(), Value::Bool(*manual)),
-            ]),
-        )]),
-        DeploymentSpec::Conveyor {
-            belt_speed_mps,
-            antenna_standoff_y_m,
-            antenna_height_z_m,
-            antenna_x_m,
-            margin_x_m,
-        } => Value::Map(vec![(
-            "conveyor".to_string(),
-            Value::Map(vec![
-                ("belt_speed_mps".to_string(), Value::F64(*belt_speed_mps)),
-                ("antenna_standoff_y_m".to_string(), Value::F64(*antenna_standoff_y_m)),
-                ("antenna_height_z_m".to_string(), Value::F64(*antenna_height_z_m)),
-                ("antenna_x_m".to_string(), Value::F64(*antenna_x_m)),
-                ("margin_x_m".to_string(), Value::F64(*margin_x_m)),
-            ]),
-        )]),
-    }
-}
-
-fn channel_value(channel: &ChannelSpec) -> Value {
-    let mut entries = Vec::new();
-    if let Some(x) = channel.phase_noise_std_rad {
-        entries.push(("phase_noise_std_rad".to_string(), Value::F64(x)));
-    }
-    if let Some(x) = channel.rssi_noise_std_db {
-        entries.push(("rssi_noise_std_db".to_string(), Value::F64(x)));
-    }
-    if let Some(x) = channel.base_miss_probability {
-        entries.push(("base_miss_probability".to_string(), Value::F64(x)));
-    }
-    if let Some(multipath) = channel.multipath {
-        let name = match multipath {
-            MultipathSpec::FreeSpace => "free_space",
-            MultipathSpec::IndoorShelf => "indoor_shelf",
-        };
-        entries.push(("multipath".to_string(), Value::Str(name.to_string())));
-    }
-    Value::Map(entries)
-}
-
-fn expectations_value(expectations: &Expectations) -> Value {
-    let mut entries = Vec::new();
-    let ids = |ids: &Vec<u64>| Value::Seq(ids.iter().map(|&id| Value::U64(id)).collect());
-    if let Some(order) = &expectations.order_x {
-        entries.push(("order_x".to_string(), ids(order)));
-    }
-    if let Some(order) = &expectations.order_y {
-        entries.push(("order_y".to_string(), ids(order)));
-    }
-    if let Some(order) = &expectations.undetected {
-        entries.push(("undetected".to_string(), ids(order)));
-    }
-    if let Some(x) = expectations.min_accuracy_x {
-        entries.push(("min_accuracy_x".to_string(), Value::F64(x)));
-    }
-    if let Some(x) = expectations.min_accuracy_y {
-        entries.push(("min_accuracy_y".to_string(), Value::F64(x)));
-    }
-    if let Some(d) = expectations.max_request_latency {
-        entries.push(("max_request_latency".to_string(), Value::Str(d.render())));
-    }
-    if let Some(x) = expectations.max_busy_rate {
-        entries.push(("max_busy_rate".to_string(), Value::F64(x)));
-    }
-    if let Some(n) = expectations.min_busy_responses {
-        entries.push(("min_busy_responses".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.max_transport_errors {
-        entries.push(("max_transport_errors".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_transport_errors {
-        entries.push(("min_transport_errors".to_string(), Value::U64(n)));
-    }
-    if expectations.warm_zero_builds {
-        entries.push(("warm_zero_builds".to_string(), Value::Bool(true)));
-    }
-    if let Some(n) = expectations.min_geometry_hits {
-        entries.push(("min_geometry_hits".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_retries {
-        entries.push(("min_retries".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.max_retries {
-        entries.push(("max_retries".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_timeouts {
-        entries.push(("min_timeouts".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.max_timeouts {
-        entries.push(("max_timeouts".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_circuit_opens {
-        entries.push(("min_circuit_opens".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.max_circuit_opens {
-        entries.push(("max_circuit_opens".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_storm_connections {
-        entries.push(("min_storm_connections".to_string(), Value::U64(n)));
-    }
-    if let Some(n) = expectations.min_provisional_results {
-        entries.push(("min_provisional_results".to_string(), Value::U64(n)));
-    }
-    if let Some(d) = expectations.max_time_to_first_result {
-        entries.push(("max_time_to_first_result".to_string(), Value::Str(d.render())));
-    }
-    Value::Map(entries)
-}
-
-// ---------------------------------------------------------------------------
-// Pretty printer
-// ---------------------------------------------------------------------------
-
-/// Pretty-prints a [`Value`] with two-space indentation, matching the
-/// vendored `serde_json` writer's escaping and number formatting so the
-/// output parses back to the identical tree.
-fn write_pretty(out: &mut String, value: &Value, indent: usize) {
-    use std::fmt::Write as _;
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
+    /// The range checks the field types do not carry: each failure is an
+    /// [`ScenarioError::InvalidValue`] at the field's path.
+    fn validate(&self) -> Result<(), ScenarioError> {
+        let population = &self.population;
+        if let LayoutSpec::Row { spacing_m, .. } = population.layout {
+            positive("population.layout.row.spacing_m", spacing_m)?;
         }
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
+        non_negative("population.phase_offset_jitter_rad", population.phase_offset_jitter_rad)?;
+        match self.deployment {
+            DeploymentSpec::AntennaSweep { standoff_y_m, margin_x_m, speed_mps, .. } => {
+                positive("deployment.antenna_sweep.standoff_y_m", standoff_y_m)?;
+                non_negative("deployment.antenna_sweep.margin_x_m", margin_x_m)?;
+                positive("deployment.antenna_sweep.speed_mps", speed_mps)?;
+            }
+            DeploymentSpec::Conveyor {
+                belt_speed_mps, antenna_standoff_y_m, margin_x_m, ..
+            } => {
+                positive("deployment.conveyor.belt_speed_mps", belt_speed_mps)?;
+                positive("deployment.conveyor.antenna_standoff_y_m", antenna_standoff_y_m)?;
+                non_negative("deployment.conveyor.margin_x_m", margin_x_m)?;
             }
         }
-        Value::Str(s) => write_escaped(out, s),
-        Value::Seq(items) if items.is_empty() => out.push_str("[]"),
-        Value::Seq(items) => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                pad(out, indent + 1);
-                write_pretty(out, item, indent + 1);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+        if let Some(channel) = &self.channel {
+            let noise = [
+                ("channel.phase_noise_std_rad", channel.phase_noise_std_rad),
+                ("channel.rssi_noise_std_db", channel.rssi_noise_std_db),
+            ];
+            for (path, std) in noise {
+                std.map_or(Ok(()), |x| non_negative(path, x))?;
             }
-            pad(out, indent);
-            out.push(']');
+            let miss = channel.base_miss_probability;
+            miss.map_or(Ok(()), |x| fraction("channel.base_miss_probability", x))?;
         }
-        Value::Map(entries) if entries.is_empty() => out.push_str("{}"),
-        Value::Map(entries) => {
-            out.push_str("{\n");
-            for (i, (key, val)) in entries.iter().enumerate() {
-                pad(out, indent + 1);
-                write_escaped(out, key);
-                out.push_str(": ");
-                write_pretty(out, val, indent + 1);
-                if i + 1 < entries.len() {
-                    out.push(',');
-                }
-                out.push('\n');
+        count("schedule.requests", self.schedule.requests, 10_000)?;
+        let server = &self.server;
+        count("server.queue_depth", server.queue_depth, 4096)?;
+        count("server.pool_workers", server.pool_workers, 64)?;
+        server.max_connections.map_or(Ok(()), |n| count("server.max_connections", n, 65_536))?;
+        if let Some(storm) = &self.storm {
+            count("storm.connections", storm.connections, 256)?;
+            count("storm.requests_per_connection", storm.requests_per_connection, 100)?;
+            count("storm.chunk_bytes", storm.chunk_bytes, 1 << 20)?;
+            at_most("storm.chunk_gap", storm.chunk_gap, 0.1)?;
+        }
+        if let Some(streaming) = &self.streaming {
+            count("streaming.poll_every_reports", streaming.poll_every_reports, 100_000)?;
+        }
+        if let Some(imp) = &self.impairments {
+            at_most("impairments.delay", imp.delay, 1.0)?;
+            fraction("impairments.reorder_rate", imp.reorder_rate)?;
+            for (path, every) in [
+                ("impairments.truncate_every", imp.truncate_every),
+                ("impairments.churn_every", imp.churn_every),
+                ("impairments.blackhole_every", imp.blackhole_every),
+                ("impairments.stall_every", imp.stall_every),
+            ] {
+                require(every != 1, path, || {
+                    "1 would impair every frame and the run could never make progress; use 0 \
+                     to disable or ≥ 2"
+                        .to_string()
+                })?;
             }
-            pad(out, indent);
-            out.push('}');
+            at_most("impairments.stall", imp.stall, 1.0)?;
+            let kills = imp.kill_after_requests;
+            require(kills <= 1000, "impairments.kill_after_requests", || {
+                format!("{kills} is above the cap of 1000")
+            })?;
+            let drills = imp.pause_drills;
+            require(drills <= 16, "impairments.pause_drills", || {
+                format!("{drills} drills is above the cap of 16")
+            })?;
+            at_most("impairments.pause_hold", imp.pause_hold, 2.0)?;
         }
+        if let Some(client) = &self.client {
+            count("client.attempts", client.attempts, 1000)?;
+            at_most("client.base_backoff", client.base_backoff, 10.0)?;
+            at_most("client.max_backoff", client.max_backoff, 30.0)?;
+            fraction("client.jitter", client.jitter)?;
+            at_most("client.deadline", client.deadline, 60.0)?;
+            require(client.deadline.seconds > 0.0, "client.deadline", || {
+                "a zero deadline would fail every call before it starts".to_string()
+            })?;
+            count("client.circuit_threshold", client.circuit_threshold, 1000)?;
+            at_most("client.circuit_cooldown", client.circuit_cooldown, 60.0)?;
+        }
+        let expectations = &self.expectations;
+        for (path, floor) in [
+            ("expectations.min_accuracy_x", expectations.min_accuracy_x),
+            ("expectations.min_accuracy_y", expectations.min_accuracy_y),
+            ("expectations.max_busy_rate", expectations.max_busy_rate),
+        ] {
+            floor.map_or(Ok(()), |x| fraction(path, x))?;
+        }
+        Ok(())
     }
 }
 
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// `Ok` when `ok`, else an [`ScenarioError::InvalidValue`] at `path`.
+fn require(ok: bool, path: &str, reason: impl FnOnce() -> String) -> Result<(), ScenarioError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ScenarioError::InvalidValue { path: path.to_string(), reason: reason() })
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn positive(path: &str, x: f64) -> Result<(), ScenarioError> {
+    require(x > 0.0, path, || format!("{x} is not positive"))
+}
+
+fn non_negative(path: &str, x: f64) -> Result<(), ScenarioError> {
+    require(x >= 0.0, path, || format!("{x} is negative"))
+}
+
+fn fraction(path: &str, x: f64) -> Result<(), ScenarioError> {
+    require((0.0..=1.0).contains(&x), path, || format!("{x} is outside [0, 1]"))
+}
+
+/// A count in `[1, max]`.
+fn count(path: &str, n: u64, max: u64) -> Result<(), ScenarioError> {
+    require((1..=max).contains(&n), path, || format!("{n} is outside [1, {max}]"))
+}
+
+/// A duration of at most `cap` seconds: a longer one would stall the run.
+fn at_most(path: &str, d: DurationSpec, cap: f64) -> Result<(), ScenarioError> {
+    require(d.seconds <= cap, path, || format!("{}s is above the cap of {cap}s", d.seconds))
 }
 
 #[cfg(test)]
@@ -1762,5 +876,34 @@ mod tests {
             ScenarioSpec::from_json("[1, 2, 3]"),
             Err(ScenarioError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_one_of_block_names_its_stray_key() {
+        let row = r#""row": { "start_x_m": 0.0, "y_m": 0.0, "spacing_m": 0.1, "count": 3 }"#;
+        let layout = |body: String| {
+            minimal().replace(&format!("\"layout\": {{ {row} }}"), &format!("\"layout\": {body}"))
+        };
+        let deployment = |body: &str| {
+            minimal().replace(
+                r#""deployment": { "antenna_sweep": {} }"#,
+                &format!("\"deployment\": {body}"),
+            )
+        };
+        let unknown = |path: &str| Err(ScenarioError::UnknownField { path: path.to_string() });
+        // A stray key before the variant's, and both variants at once.
+        let text = layout(format!("{{ \"zz\": 1, {row} }}"));
+        assert_eq!(ScenarioSpec::from_json(&text), unknown("population.layout.zz"));
+        let text = layout(format!("{{ \"tags\": [], {row} }}"));
+        assert_eq!(ScenarioSpec::from_json(&text), unknown("population.layout.tags"));
+        let text = deployment(r#"{ "conveyor": {}, "antenna_sweep": {} }"#);
+        assert_eq!(ScenarioSpec::from_json(&text), unknown("deployment.conveyor"));
+        // A key naming no variant, alone, is a bad value of the block.
+        for body in [r#"{ "conveyer": {} }"#, r#"{ "zz": 1 }"#] {
+            match ScenarioSpec::from_json(&deployment(body)) {
+                Err(ScenarioError::InvalidValue { path, .. }) => assert_eq!(path, "deployment"),
+                other => panic!("{body}: expected InvalidValue, got {other:?}"),
+            }
+        }
     }
 }

@@ -88,8 +88,8 @@ proptest! {
 
     #[test]
     fn unknown_fields_are_rejected_not_ignored(tail in 0u32..1_000_000) {
-        // A typo'd knob must never be silently dropped — that is the
-        // whole reason the parser is hand-written over the Value tree.
+        // A typo'd knob must never be silently dropped — that is why the
+        // derived scenario reader denies unknown fields.
         let field = format!("zz_unknown_{tail}");
         let text = VALID.replacen("\"seed\": 11,", &format!("\"seed\": 11, \"{field}\": 1,"), 1);
         prop_assert_eq!(
@@ -101,7 +101,7 @@ proptest! {
     #[test]
     fn non_finite_numeric_knobs_are_typed(knob in prop_oneof![Just("1e999"), Just("-1e999")]) {
         // The vendored serde_json parses 1e999 to ±∞ rather than
-        // erroring, so the finiteness gate lives in the scenario parser.
+        // erroring; its reader rejects the number at the field's path.
         let text = VALID.replacen("\"start_x_m\": 0.2", &format!("\"start_x_m\": {knob}"), 1);
         prop_assert_eq!(
             ScenarioSpec::from_json(&text),

@@ -3,7 +3,7 @@
 //! Two contracts:
 //!
 //! 1. `parse(serialize(s)) == s` for *arbitrary* valid specs — the
-//!    canonical serializer and the hand-written parser are exact
+//!    canonical serializer and the derived reader are exact
 //!    inverses, including float bit patterns, duration strings, escaped
 //!    names, and every optional knob.
 //! 2. The checked-in `scenarios/` suite is stored in canonical form
